@@ -176,6 +176,16 @@ class AdmissibilityReport:
         }
 
 
+# kernel-sign margins shared by the regime checks and sign_table;
+# r = sqrt(k) for k > 0, t = sqrt(|k|) for k < 0
+_KERNEL_SIGN = {
+    "A1-2": lambda c, r: r * np.cos(r) - c.lambda2 * np.sin(r * c.eta),
+    "A1-3": lambda c, r: r - c.lambda1 * np.sin(r * c.xi),
+    "A'1-2": lambda c, t: t * np.sinh(t * c.xi) + (c.lambda1 - t) * np.cosh(t * c.xi),
+    "A'1-3": lambda c, t: t - c.lambda1 * np.cosh(t * c.xi),
+}
+
+
 def check_positive_k(config: BoundaryConfig, k: float, lip: LipschitzData) -> AdmissibilityReport:
     """Certify a positive shift: kernel-sign conditions plus slope conditions.
 
@@ -189,10 +199,9 @@ def check_positive_k(config: BoundaryConfig, k: float, lip: LipschitzData) -> Ad
     if not (0.0 < k < PI2_OVER_4):
         raise ValidationError("k out of regime: positive checks need 0 < k < pi^2/4, got %r" % k)
     r = float(np.sqrt(k))
-    l1b, l2b = config.lambda1, config.lambda2
     D = normalization_value(config, ShiftedOperator(k))
-    v2 = r * np.cos(r) - l2b * np.sin(r * config.eta)
-    v3 = r - l1b * np.sin(r * config.xi)
+    v2 = _KERNEL_SIGN["A1-2"](config, r)
+    v3 = _KERNEL_SIGN["A1-3"](config, r)
     xs = np.linspace(0.0, 1.0, SUP_SAMPLES)
     slope_a = (lip.l1 - k) * np.cos(r) + lip.l2_fn(xs) * r * np.sin(r)
     sup_a = _refined_extremum(slope_a, xs)
@@ -228,8 +237,8 @@ def check_negative_k(config: BoundaryConfig, k: float, lip: LipschitzData) -> Ad
     t = float(np.sqrt(-k))
     l1b, l2b = config.lambda1, config.lambda2
     v1 = t * np.sinh(t) - l2b * np.cosh(t * config.eta)
-    q2 = t * np.sinh(t * config.xi) + (l1b - t) * np.cosh(t * config.xi)
-    v3 = t - l1b * np.cosh(t * config.xi)
+    q2 = _KERNEL_SIGN["A'1-2"](config, t)
+    v3 = _KERNEL_SIGN["A'1-3"](config, t)
     D = normalization_value(config, ShiftedOperator(k))
     xs = np.linspace(0.0, 1.0, SUP_SAMPLES)
     l2v = lip.l2_fn(xs)
@@ -544,45 +553,33 @@ def sign_table(config: BoundaryConfig, lip: LipschitzData, regime, k_lo: float,
     """
     regime = _normalize_regime(regime)
     ks = np.linspace(k_lo, k_hi, int(samples))
-    l1b, l2b = config.lambda1, config.lambda2
-    rows = []
     if regime is Regime.POSITIVE_K:
         if not (0.0 < k_lo and k_hi < PI2_OVER_4):
             raise ValidationError("regime mismatch for the positive sign table")
-        r = np.sqrt(ks)
         quantities = [
-            ("L34a-sup", lambda rr, kk: (lip.l1 - kk) * np.cos(rr) + lip.l2_sup * rr * np.sin(rr)),
-            ("A1-3", lambda rr, kk: rr - l1b * np.sin(rr * config.xi)),
-            ("A1-2", lambda rr, kk: rr * np.cos(rr) - l2b * np.sin(rr * config.eta)),
-            ("Dk", lambda rr, kk: kk * np.sin(rr) + l2b * rr * np.cos(rr * config.eta)
-             + l1b * (l2b * np.sin(rr * (config.eta - config.xi))
-                      - rr * np.cos(rr * (config.xi - 1)))),
+            ("L34a-sup", lambda r, k: (lip.l1 - k) * np.cos(r) + lip.l2_sup * r * np.sin(r)),
+            ("A1-3", lambda r, k: _KERNEL_SIGN["A1-3"](config, r)),
+            ("A1-2", lambda r, k: _KERNEL_SIGN["A1-2"](config, r)),
+            ("Dk", lambda r, k: normalization_value(config, ShiftedOperator(k))),
         ]
-        args = (r, ks)
     else:
         if not (k_hi < 0.0):
             raise ValidationError("regime mismatch for the negative sign table")
-        t = np.sqrt(-ks)
         quantities = [
-            ("A'1-1-endpoint", lambda tt, kk: tt * np.cosh(tt) - l2b * np.sinh(tt)),
-            ("A'1-2", lambda tt, kk: tt * np.sinh(tt * config.xi)
-             + (l1b - tt) * np.cosh(tt * config.xi)),
-            ("A'1-3", lambda tt, kk: tt - l1b * np.cosh(tt * config.xi)),
+            ("A'1-1-endpoint", lambda t, k: t * np.cosh(t) - config.lambda2 * np.sinh(t)),
+            ("A'1-2", lambda t, k: _KERNEL_SIGN["A'1-2"](config, t)),
+            ("A'1-3", lambda t, k: _KERNEL_SIGN["A'1-3"](config, t)),
         ]
-        args = (t, ks)
 
+    rows = []
     for cid, fn in quantities:
-        vals = fn(*args)
-        signs = np.sign(vals)
-        changes = np.nonzero(np.diff(signs) != 0)[0]
+        def at(k, fn=fn):
+            return float(fn(np.sqrt(abs(k)), float(k)))
+
+        changes = np.nonzero(np.diff(np.sign([at(k) for k in ks])) != 0)[0]
         first = None
         if changes.size:
             i = changes[0]
-
-            def scalar(k):
-                rr = np.sqrt(abs(k))
-                return float(fn(np.asarray(rr), np.asarray(k)))
-
-            first = float(brentq(scalar, ks[i], ks[i + 1], xtol=1e-10))
+            first = float(brentq(at, ks[i], ks[i + 1], xtol=1e-10))
         rows.append({"id": cid, "crossings": int(changes.size), "first_crossing": first})
     return rows

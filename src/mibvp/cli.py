@@ -19,7 +19,7 @@ import numpy as np
 from ._version import __version__
 from .admissibility import check_negative_k, check_positive_k, scan_k
 from .errors import NumericalError, ValidationError
-from .kernel import Regime, ShiftedOperator, green_eval
+from .kernel import Regime, ShiftedOperator, kernel_functions, normalization
 from .linear_bvp import GridFunction, LinearRhs, build_grid, solve_linear
 from .monotone import run as run_iteration
 from .oracle import fd_linear, fd_nonlinear
@@ -184,13 +184,17 @@ def cmd_greens_dump(args):
     m = args.grid_n if args.grid_n is not None else 101
     if m < 2:
         raise ValidationError("greens-dump needs a grid of at least 2 points")
+    normalization(config.boundary_config, op)
+    fns = kernel_functions(config.boundary_config, op)
     pts = np.linspace(0.0, 1.0, m)
-    rows = []
-    for s in pts:
-        for x in pts:
-            sample = green_eval(config.boundary_config, op, float(x), float(s))
-            rows.append((float(x), float(s), float(sample.value),
-                         float(sample.dvalue_dx)))
+    x, s = pts[None, :], pts[:, None]  # rows run s outer, x inner
+    value = fns.value(x, s)
+    # on the diagonal the derivative is the limit from below, as in green_eval
+    dvalue = np.where(x <= s, fns.dvalue_dx(x, s, below=True),
+                      fns.dvalue_dx(x, s, below=False))
+    xs, ss = np.meshgrid(pts, pts)
+    rows = list(zip(xs.ravel().tolist(), ss.ravel().tolist(),
+                    value.ravel().tolist(), dvalue.ravel().tolist()))
     text = _csv_text(("x", "s", "value", "dvalue_dx"), rows)
     if args.out:
         _write(args.out, "greens.csv", text)

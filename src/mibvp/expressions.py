@@ -312,10 +312,7 @@ def _diff(node, var):
 def _to_text(node):
     kind = node[0]
     if kind == "num":
-        v = node[1]
-        if v == int(v) and abs(v) < 1e16:
-            return repr(v)
-        return repr(v)
+        return repr(node[1])
     if kind == "var":
         return node[1]
     if kind == "neg":

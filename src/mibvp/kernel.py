@@ -1,13 +1,20 @@
 """Closed-form Green's kernels for the shifted operator -u'' - k u.
 
 The boundary conditions couple endpoint derivatives to interior values,
-u'(0) = lambda1*u(xi) and u'(1) = lambda2*u(eta). The kernel G(x,s) has six
-branches, keyed by the s-region (s <= xi, xi <= s <= eta, eta <= s) crossed
-with the side x <= s ("below" the diagonal) versus x >= s ("above"). Two
-regimes exist: 0 < k < pi^2/4 uses trigonometric branches, k < 0 hyperbolic
-ones. Branch values are continuous across x = s and across the s = xi and
-s = eta seams; the x-derivative jumps by exactly +1 across x = s, consistent
-with -G_xx - k G = delta(x - s).
+u'(0) = lambda1*u(xi) and u'(1) = lambda2*u(eta). One formula serves both
+shift regimes (0 < k < pi^2/4 and k < 0). It is written in the real
+functions C(z) = cos(sqrt(k) z) and S(z) = sin(sqrt(k) z)/sqrt(k), which
+are cosh(t z) and sinh(t z)/t for k < 0, t = sqrt(|k|). From them come the
+left solution phi(z) = C(z) + lambda1 S(z - xi), the right solution
+psi(z) = C(z - 1) + lambda2 S(z - eta) and the scalar
+W = k S(1) + lambda2 C(eta) + lambda1 (lambda2 S(eta - xi) - C(xi - 1)).
+
+G(x,s) has six branches, keyed by the s-region (s <= xi, xi <= s <= eta,
+eta <= s) crossed with the side x <= s ("below" the diagonal) versus x >= s
+("above"), each divided by W. Branch values are continuous across x = s and
+across the s = xi and s = eta seams; the x-derivative jumps by exactly +1
+across x = s, consistent with -G_xx - k G = delta(x - s). The boundary term
+is -phi/W.
 
 The below branch satisfies the left boundary identity
 G_x(0,s) = lambda1*G(xi,s) pointwise and the above branch the right one,
@@ -106,7 +113,8 @@ class KernelFunctions:
     value(x, s) evaluates G, dvalue_dx(x, s, below=...) the one-sided
     x-derivative, boundary_term(x) the complementary-function factor
     multiplying the boundary constant, boundary_term_dx its derivative.
-    All share the precomputed root and normalization.
+    Factors of x alone or s alone are evaluated on their own axis and
+    broadcast only when multiplied together.
     """
 
     def __init__(self, config: BoundaryConfig, op: ShiftedOperator):
@@ -115,111 +123,43 @@ class KernelFunctions:
         self.normalization = normalization_value(config, op)
         xi, eta = config.xi, config.eta
         l1, l2 = config.lambda1, config.lambda2
-        D = self.normalization
+        k = op.k
+        C, S = _c_and_s(op)
+        W = _scaled_normalization(config, k, C, S)
+        # phi meets the left boundary condition, psi the right one
+        phi = lambda z: C(z) + l1 * S(z - xi)  # noqa: E731
+        dphi = lambda z: -k * S(z) + l1 * C(z - xi)  # noqa: E731
+        psi = lambda z: C(z - 1) + l2 * S(z - eta)  # noqa: E731
+        dpsi = lambda z: -k * S(z - 1) + l2 * C(z - eta)  # noqa: E731
+        a1 = l1 * (l2 * S(eta - xi) - C(xi - 1))  # left coupling at s <= xi
+        a3 = l2 * phi(eta)  # right coupling at s >= eta
 
-        if op.regime is Regime.POSITIVE_K:
-            r = op.root
-            k = op.k
-            pref = 1.0 / (r * D)
+        def by_region(s, b1, b2, b3):
+            return np.where(s <= xi, b1, np.where(s <= eta, b2, b3))
 
-            def value(x, s):
-                X, S = np.broadcast_arrays(np.asarray(x, float), np.asarray(s, float))
-                below = X <= S
-                r1 = S <= xi
-                r2 = (S >= xi) & (S <= eta)
-                r3 = S >= eta
-                f1b = r * np.cos(r * X) * (r * np.cos(r * (S - 1)) + l2 * np.sin(r * (S - eta))) \
-                    + l1 * np.sin(r * (S - X)) * (l2 * np.sin(r * (eta - xi)) - r * np.cos(r * (xi - 1)))
-                f1a = r * np.cos(r * S) * (r * np.cos(r * (X - 1)) + l2 * np.sin(r * (X - eta)))
-                f2b = (r * np.cos(r * X) + l1 * np.sin(r * (X - xi))) \
-                    * (r * np.cos(r * (S - 1)) + l2 * np.sin(r * (S - eta)))
-                f2a = (r * np.cos(r * S) + l1 * np.sin(r * (S - xi))) \
-                    * (r * np.cos(r * (X - 1)) + l2 * np.sin(r * (X - eta)))
-                f3b = r * np.cos(r * (S - 1)) * (r * np.cos(r * X) + l1 * np.sin(r * (X - xi)))
-                f3a = r * np.cos(r * (X - 1)) * (r * np.cos(r * S) + l1 * np.sin(r * (S - xi))) \
-                    + l2 * np.sin(r * (X - S)) * (r * np.cos(r * eta) + l1 * np.sin(r * (eta - xi)))
-                return pref * np.select(
-                    [r1 & below, r1 & ~below, r2 & below, r2 & ~below, r3 & below, r3 & ~below],
-                    [f1b, f1a, f2b, f2a, f3b, f3a])
+        def value(x, s):
+            x, s = np.asarray(x, float), np.asarray(s, float)
+            below = by_region(s, C(x) * psi(s) + a1 * S(s - x),
+                              phi(x) * psi(s), phi(x) * C(s - 1))
+            above = by_region(s, psi(x) * C(s), psi(x) * phi(s),
+                              C(x - 1) * phi(s) + a3 * S(x - s))
+            return np.where(x <= s, below, above) / W
 
-            def dvalue_dx(x, s, below):
-                X, S = np.broadcast_arrays(np.asarray(x, float), np.asarray(s, float))
-                r1 = S <= xi
-                r2 = (S >= xi) & (S <= eta)
-                r3 = S >= eta
-                if below:
-                    d1 = -k * np.sin(r * X) * (r * np.cos(r * (S - 1)) + l2 * np.sin(r * (S - eta))) \
-                        - l1 * r * np.cos(r * (S - X)) * (l2 * np.sin(r * (eta - xi)) - r * np.cos(r * (xi - 1)))
-                    d2 = (-k * np.sin(r * X) + l1 * r * np.cos(r * (X - xi))) \
-                        * (r * np.cos(r * (S - 1)) + l2 * np.sin(r * (S - eta)))
-                    d3 = r * np.cos(r * (S - 1)) * (-k * np.sin(r * X) + l1 * r * np.cos(r * (X - xi)))
-                else:
-                    d1 = r * np.cos(r * S) * (-k * np.sin(r * (X - 1)) + l2 * r * np.cos(r * (X - eta)))
-                    d2 = (r * np.cos(r * S) + l1 * np.sin(r * (S - xi))) \
-                        * (-k * np.sin(r * (X - 1)) + l2 * r * np.cos(r * (X - eta)))
-                    d3 = -k * np.sin(r * (X - 1)) * (r * np.cos(r * S) + l1 * np.sin(r * (S - xi))) \
-                        + l2 * r * np.cos(r * (X - S)) * (r * np.cos(r * eta) + l1 * np.sin(r * (eta - xi)))
-                return pref * np.select([r1, r2, r3], [d1, d2, d3])
+        def dvalue_dx(x, s, below):
+            x, s = np.asarray(x, float), np.asarray(s, float)
+            if below:
+                d = by_region(s, -k * S(x) * psi(s) - a1 * C(s - x),
+                              dphi(x) * psi(s), dphi(x) * C(s - 1))
+            else:
+                d = by_region(s, dpsi(x) * C(s), dpsi(x) * phi(s),
+                              -k * S(x - 1) * phi(s) + a3 * C(x - s))
+            return d / W
 
-            def boundary_term(x):
-                X = np.asarray(x, float)
-                return -(r * np.cos(r * X) + l1 * np.sin(r * (X - xi))) / D
+        def boundary_term(x):
+            return -phi(np.asarray(x, float)) / W
 
-            def boundary_term_dx(x):
-                X = np.asarray(x, float)
-                return -(-k * np.sin(r * X) + l1 * r * np.cos(r * (X - xi))) / D
-
-        else:
-            t = op.root
-            absk = abs(op.k)
-            pref = 1.0 / (t * D)
-
-            def value(x, s):
-                X, S = np.broadcast_arrays(np.asarray(x, float), np.asarray(s, float))
-                below = X <= S
-                r1 = S <= xi
-                r2 = (S >= xi) & (S <= eta)
-                r3 = S >= eta
-                f1b = t * np.cosh(t * X) * (l2 * np.sinh(t * (eta - S)) - t * np.cosh(t * (S - 1))) \
-                    + l1 * np.sinh(t * (S - X)) * (t * np.cosh(t * (xi - 1)) - l2 * np.sinh(t * (eta - xi)))
-                f1a = -t * np.cosh(t * S) * (t * np.cosh(t * (X - 1)) + l2 * np.sinh(t * (X - eta)))
-                f2b = -(t * np.cosh(t * X) + l1 * np.sinh(t * (X - xi))) \
-                    * (t * np.cosh(t * (S - 1)) + l2 * np.sinh(t * (S - eta)))
-                f2a = -(t * np.cosh(t * S) + l1 * np.sinh(t * (S - xi))) \
-                    * (t * np.cosh(t * (X - 1)) + l2 * np.sinh(t * (X - eta)))
-                f3b = -t * np.cosh(t * (S - 1)) * (t * np.cosh(t * X) + l1 * np.sinh(t * (X - xi)))
-                f3a = t * np.cosh(t * (X - 1)) * (l1 * np.sinh(t * (xi - S)) - t * np.cosh(t * S)) \
-                    + l2 * np.sinh(t * (S - X)) * (t * np.cosh(t * eta) + l1 * np.sinh(t * (eta - xi)))
-                return pref * np.select(
-                    [r1 & below, r1 & ~below, r2 & below, r2 & ~below, r3 & below, r3 & ~below],
-                    [f1b, f1a, f2b, f2a, f3b, f3a])
-
-            def dvalue_dx(x, s, below):
-                X, S = np.broadcast_arrays(np.asarray(x, float), np.asarray(s, float))
-                r1 = S <= xi
-                r2 = (S >= xi) & (S <= eta)
-                r3 = S >= eta
-                if below:
-                    d1 = absk * np.sinh(t * X) * (l2 * np.sinh(t * (eta - S)) - t * np.cosh(t * (S - 1))) \
-                        - l1 * t * np.cosh(t * (S - X)) * (t * np.cosh(t * (xi - 1)) - l2 * np.sinh(t * (eta - xi)))
-                    d2 = -(absk * np.sinh(t * X) + l1 * t * np.cosh(t * (X - xi))) \
-                        * (t * np.cosh(t * (S - 1)) + l2 * np.sinh(t * (S - eta)))
-                    d3 = -t * np.cosh(t * (S - 1)) * (absk * np.sinh(t * X) + l1 * t * np.cosh(t * (X - xi)))
-                else:
-                    d1 = -t * np.cosh(t * S) * (absk * np.sinh(t * (X - 1)) + l2 * t * np.cosh(t * (X - eta)))
-                    d2 = -(t * np.cosh(t * S) + l1 * np.sinh(t * (S - xi))) \
-                        * (absk * np.sinh(t * (X - 1)) + l2 * t * np.cosh(t * (X - eta)))
-                    d3 = absk * np.sinh(t * (X - 1)) * (l1 * np.sinh(t * (xi - S)) - t * np.cosh(t * S)) \
-                        - l2 * t * np.cosh(t * (S - X)) * (t * np.cosh(t * eta) + l1 * np.sinh(t * (eta - xi)))
-                return pref * np.select([r1, r2, r3], [d1, d2, d3])
-
-            def boundary_term(x):
-                X = np.asarray(x, float)
-                return (t * np.cosh(t * X) + l1 * np.sinh(t * (X - xi))) / D
-
-            def boundary_term_dx(x):
-                X = np.asarray(x, float)
-                return (absk * np.sinh(t * X) + l1 * t * np.cosh(t * (X - xi))) / D
+        def boundary_term_dx(x):
+            return -dphi(np.asarray(x, float)) / W
 
         self.value = value
         self.dvalue_dx = dvalue_dx
@@ -233,28 +173,36 @@ def kernel_functions(config: BoundaryConfig, op: ShiftedOperator) -> KernelFunct
     return KernelFunctions(config, op)
 
 
-def normalization_value(config: BoundaryConfig, op: ShiftedOperator) -> float:
-    """The raw normalization scalar, without the degeneracy threshold.
+def _c_and_s(op: ShiftedOperator):
+    """C(z) = cos(sqrt(k) z) and S(z) = sin(sqrt(k) z)/sqrt(k), as real functions.
 
-    Positive regime: D = k sin(r) + lambda2 r cos(r eta)
-    + lambda1 (lambda2 sin(r (eta-xi)) - r cos(r (xi-1))), r = sqrt(k).
-    Negative regime: D' = |k| sinh(t) - lambda2 t cosh(t eta)
-    - lambda1 lambda2 sinh(t (eta-xi)) + lambda1 t cosh(t (xi-1)), t = sqrt(|k|).
+    For k < 0 these are cosh(t z) and sinh(t z)/t, t = sqrt(|k|); either way
+    C' = -k S and S' = C. This is the only place the kernel branches on the
+    sign of k.
     """
+    r = op.root
+    if op.k > 0:
+        return (lambda z: np.cos(r * z)), (lambda z: np.sin(r * z) / r)
+    return (lambda z: np.cosh(r * z)), (lambda z: np.sinh(r * z) / r)
+
+
+def _scaled_normalization(config: BoundaryConfig, k: float, C, S):
+    """W, the divisor of every kernel branch and of the boundary term."""
     xi, eta = config.xi, config.eta
     l1, l2 = config.lambda1, config.lambda2
-    if op.regime is Regime.POSITIVE_K:
-        r = op.root
-        k = op.k
-        return float(
-            k * np.sin(r) + l2 * r * np.cos(r * eta)
-            + l1 * (l2 * np.sin(r * (eta - xi)) - r * np.cos(r * (xi - 1)))
-        )
-    t = op.root
-    return float(
-        abs(op.k) * np.sinh(t) - l2 * t * np.cosh(t * eta)
-        - l1 * l2 * np.sinh(t * (eta - xi)) + l1 * t * np.cosh(t * (xi - 1))
-    )
+    return k * S(1.0) + l2 * C(eta) + l1 * (l2 * S(eta - xi) - C(xi - 1))
+
+
+def normalization_value(config: BoundaryConfig, op: ShiftedOperator) -> float:
+    """The raw normalization scalar (k / sqrt|k|) W, without the degeneracy threshold.
+
+    For k > 0 this is D = k sin(r) + lambda2 r cos(r eta)
+    + lambda1 (lambda2 sin(r (eta-xi)) - r cos(r (xi-1))), r = sqrt(k); for
+    k < 0 it is D' = |k| sinh(t) - lambda2 t cosh(t eta)
+    - lambda1 lambda2 sinh(t (eta-xi)) + lambda1 t cosh(t (xi-1)), t = sqrt(|k|).
+    """
+    C, S = _c_and_s(op)
+    return float(op.k / op.root * _scaled_normalization(config, op.k, C, S))
 
 
 def normalization(config: BoundaryConfig, op: ShiftedOperator) -> float:

@@ -2,10 +2,12 @@ import copy
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mibvp.cli import main
-from mibvp.problems import EXAMPLE1, EXAMPLE2
+from mibvp.kernel import ShiftedOperator, green_eval
+from mibvp.problems import EXAMPLE1, EXAMPLE2, ProblemConfig
 
 
 def _config_file(tmp_path, data, name="cfg.json"):
@@ -155,6 +157,20 @@ class TestGreensDump:
         assert "121 rows" in msg
         lines = (out / "greens.csv").read_text().splitlines()
         assert len(lines) == 122
+
+    @pytest.mark.parametrize("k", ["-2", "0.49"])
+    def test_matches_pointwise_green_eval(self, problems_dir, capsys, k):
+        # the vectorized table equals a per-point green_eval loop, bit for bit
+        assert main(["greens-dump", _ex2(problems_dir), "--k", k, "--grid-n", "21"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cfg = ProblemConfig.load(_ex2(problems_dir)).boundary_config
+        pts = np.linspace(0.0, 1.0, 21)
+        expected = []
+        for s in pts:
+            for x in pts:
+                g = green_eval(cfg, ShiftedOperator(float(k)), float(x), float(s))
+                expected.append(",".join(repr(float(v)) for v in (x, s, g.value, g.dvalue_dx)))
+        assert lines[1:] == expected
 
     def test_range_config_needs_k(self, problems_dir, capsys):
         assert main(["greens-dump", _ex2(problems_dir)]) == 1

@@ -94,7 +94,10 @@ class TestNormalization:
 
 @pytest.mark.parametrize("cfg, op", [(CFG1, OP1), (CFG2, OP2),
                                      (CFG2, ShiftedOperator(-5.0)),
-                                     (CFG1, ShiftedOperator(2.0))])
+                                     (CFG1, ShiftedOperator(2.0)),
+                                     (CFG2, ShiftedOperator(-50.0)),
+                                     (CFG1, ShiftedOperator(-2.0)),
+                                     (CFG2, ShiftedOperator(0.49))])
 class TestKernelStructure:
     def test_continuity_across_diagonal(self, cfg, op):
         # Richardson toward the diagonal from both sides
@@ -158,6 +161,53 @@ class TestKernelStructure:
             num = (fns.value(x + eps, s) - fns.value(x - eps, s)) / (2 * eps)
             assert float(fns.dvalue_dx(x, s, below=below)) == pytest.approx(
                 float(num), abs=1e-6)
+
+
+# G, dG/dx from below and dG/dx from above at one point inside each of the
+# six branches, from the earlier hand-written trigonometric and hyperbolic
+# kernels; one (x, s) per (s-region, side) pair
+BRANCH_PINS = [
+    (CFG1, OP1, [
+        ((0.02, 0.05), 0.12773759445813918, 0.4212006719669677, 1.4209801800702233),
+        ((0.7, 0.05), 1.0170634217676224, 0.3334048574223067, 1.2316658856008678),
+        ((0.12, 0.15), 0.292265271690964, 0.5473450754316641, 1.5471245835349199),
+        ((0.5, 0.15), 0.834042390806854, 0.47431470316898783, 1.444452028141623),
+        ((0.3, 0.6), 0.5501368141106122, 0.7330666140307154, 1.7110975287548638),
+        ((0.9, 0.6), 1.227145947060347, 0.5123281921870935, 1.4903591069112418),
+    ]),
+    (CFG2, OP2, [
+        ((0.05, 0.1), -0.6204525712532224, -0.20278425268093436, 0.799716789159359),
+        ((0.6, 0.1), -0.39819665632537415, -1.020710568030798, 0.23988126849055846),
+        ((0.22, 0.25), -0.5586142537546892, -0.369602561232417, 0.6312975737756833),
+        ((0.8, 0.25), -0.38937600646178366, -1.224204057810984, 0.09385789174375765),
+        ((0.4, 0.7), -0.43612600357454806, -0.39608064545559096, 0.6952774806322659),
+        ((0.95, 0.7), -0.5600845586002183, -1.051655633535702, 0.01149812686806865),
+    ]),
+]
+
+
+@pytest.mark.parametrize("cfg, op, pins", BRANCH_PINS)
+def test_branch_values_pinned(cfg, op, pins):
+    fns = kernel_functions(cfg, op)
+    for (x, s), g, d_below, d_above in pins:
+        assert float(fns.value(x, s)) == pytest.approx(g, rel=1e-13)
+        assert float(fns.dvalue_dx(x, s, below=True)) == pytest.approx(d_below, rel=1e-13)
+        assert float(fns.dvalue_dx(x, s, below=False)) == pytest.approx(d_above, rel=1e-13)
+
+
+def test_kernel_continuous_across_regime_seam():
+    # one analytic kernel in k: the two regimes meet at k = 0. Relative to
+    # sup |G|, since G itself moves by up to 65 * 2e-8 over the step for CFG2
+    pts = np.linspace(0.0, 1.0, 21)
+    X, S = pts[:, None], pts[None, :]
+    for cfg in (CFG1, CFG2):
+        pos = kernel_functions(cfg, ShiftedOperator(1e-8))
+        neg = kernel_functions(cfg, ShiftedOperator(-1e-8))
+        scale = np.max(np.abs(pos.value(X, S)))
+        assert np.max(np.abs(pos.value(X, S) - neg.value(X, S))) <= 1e-6 * scale
+        for below in (True, False):
+            assert np.max(np.abs(pos.dvalue_dx(X, S, below=below)
+                                 - neg.dvalue_dx(X, S, below=below))) <= 1e-6 * scale
 
 
 class TestSignCertificates:
