@@ -26,13 +26,7 @@ SCAN_REFINE_TOL = 1e-4
 def _as_profile(fn):
     """Wrap an Expression in x (or a plain callable) as array -> array."""
     if isinstance(fn, Expression):
-        expr = fn
-
-        def profile(xs):
-            xs = np.asarray(xs, float)
-            return np.broadcast_to(np.asarray(expr.evaluate(x=xs), float), xs.shape).copy()
-
-        return profile
+        return lambda xs: fn.sample(x=np.asarray(xs, float))
     return lambda xs: np.broadcast_to(np.asarray(fn(np.asarray(xs, float)), float),
                                       np.shape(xs)).copy()
 
@@ -336,11 +330,32 @@ def scan_k(config: BoundaryConfig, lip: LipschitzData, regime, k_lo: float,
     return intervals
 
 
-def _initial_profiles(problem, n=SUP_SAMPLES):
+def _bracket_box(problem, n):
+    """The initial solutions c0 = lower0 and d0 = upper0 sampled on linspace(0, 1, n)."""
     xs = np.linspace(0.0, 1.0, n)
-    c0 = np.broadcast_to(np.asarray(problem.lower0.evaluate(x=xs), float), xs.shape)
-    d0 = np.broadcast_to(np.asarray(problem.upper0.evaluate(x=xs), float), xs.shape)
-    return xs, c0, d0
+    return xs, problem.lower0.sample(x=xs), problem.upper0.sample(x=xs)
+
+
+def _lipschitz_box(problem, nx, nu):
+    """Sample points of the box the Lipschitz estimates search.
+
+    Returns xs (nx,), U (nx, nu, 1) spanning [min, max] of c0 and d0 at
+    each x in nu steps, and the half-width W of the |u'| range: the Nagumo
+    P when one was found, otherwise the crude derivative-range fallback
+    2 sup|c0', d0'| + 1.
+    """
+    xs, c0, d0 = _bracket_box(problem, nx)
+    lo = np.minimum(c0, d0)
+    hi = np.maximum(c0, d0)
+    frac = np.linspace(0.0, 1.0, nu)
+    U = lo[:, None, None] + (hi - lo)[:, None, None] * frac[None, :, None]
+    nag = getattr(problem, "nagumo", None)
+    if nag is not None and nag.success:
+        W = nag.P
+    else:
+        W = 2.0 * float(max(np.max(np.abs(problem.lower0.diff("x").sample(x=xs))),
+                            np.max(np.abs(problem.upper0.diff("x").sample(x=xs))))) + 1.0
+    return xs, U, W
 
 
 def estimate_l1(problem, sample_density: int = 121) -> float:
@@ -353,31 +368,13 @@ def estimate_l1(problem, sample_density: int = 121) -> float:
     for the well ordering.
     """
     nx = int(sample_density)
-    xs = np.linspace(0.0, 1.0, nx)
-    c0 = np.broadcast_to(np.asarray(problem.lower0.evaluate(x=xs), float), xs.shape)
-    d0 = np.broadcast_to(np.asarray(problem.upper0.evaluate(x=xs), float), xs.shape)
-    lo = np.minimum(c0, d0)
-    hi = np.maximum(c0, d0)
-    nag = getattr(problem, "nagumo", None)
-    if nag is not None and nag.success:
-        W = nag.P
-    else:
-        dc = problem.lower0.diff("x")
-        dd = problem.upper0.diff("x")
-        sup_d = max(
-            np.max(np.abs(np.broadcast_to(np.asarray(dc.evaluate(x=xs), float), xs.shape))),
-            np.max(np.abs(np.broadcast_to(np.asarray(dd.evaluate(x=xs), float), xs.shape))),
-        )
-        W = 2.0 * float(sup_d) + 1.0
-    frac = np.linspace(0.0, 1.0, nx)
-    U = lo[:, None, None] + (hi - lo)[:, None, None] * frac[None, :, None]
-    X = np.broadcast_to(xs[:, None, None], U.shape[:2] + (1,))
-    Wgrid = np.linspace(-W, W, 41)[None, None, :]
+    xs, U, W = _lipschitz_box(problem, nx, nx)
+    X = xs[:, None, None]
+    up = np.linspace(-W, W, 41)[None, None, :]
     e = 1e-5 * np.maximum(1.0, np.abs(U))
     with np.errstate(over="ignore", invalid="ignore"):
-        up_v = np.broadcast_to(Wgrid, (nx, nx, Wgrid.shape[-1]))
-        plus = problem.psi.evaluate(x=X, u=U + e, up=up_v)
-        minus = problem.psi.evaluate(x=X, u=U - e, up=up_v)
+        plus = problem.psi.sample(x=X, u=U + e, up=up)
+        minus = problem.psi.sample(x=X, u=U - e, up=up)
         d = (plus - minus) / (2 * e)
     if not np.all(np.isfinite(d)):
         raise NumericalError("non-finite psi samples in the Lipschitz box")
@@ -395,33 +392,20 @@ def estimate_lipschitz(problem, sample_density: int = 121) -> LipschitzData:
     stand-in.
     """
     l1 = estimate_l1(problem, sample_density)
-    nx = int(sample_density)
-    xs = np.linspace(0.0, 1.0, nx)
-    c0 = np.broadcast_to(np.asarray(problem.lower0.evaluate(x=xs), float), xs.shape)
-    d0 = np.broadcast_to(np.asarray(problem.upper0.evaluate(x=xs), float), xs.shape)
-    lo = np.minimum(c0, d0)
-    hi = np.maximum(c0, d0)
-    nag = getattr(problem, "nagumo", None)
-    W = nag.P if (nag is not None and nag.success) else 2.0 * float(
-        np.max(np.abs(np.concatenate([c0, d0])))) + 1.0
-    frac = np.linspace(0.0, 1.0, 41)
-    U = lo[:, None, None] + (hi - lo)[:, None, None] * frac[None, :, None]
-    X = np.broadcast_to(xs[:, None, None], U.shape[:2] + (1,))
-    Wg = np.linspace(-W, W, 41)[None, None, :]
-    e = 1e-5 * np.maximum(1.0, np.abs(Wg))
+    xs, U, W = _lipschitz_box(problem, int(sample_density), 41)
+    X = xs[:, None, None]
+    up = np.linspace(-W, W, 41)[None, None, :]
+    e = 1e-5 * np.maximum(1.0, np.abs(up))
     with np.errstate(over="ignore", invalid="ignore"):
-        up_b = np.broadcast_to(Wg, U.shape[:2] + (Wg.shape[-1],))
-        plus = problem.psi.evaluate(x=X, u=U, up=up_b + e)
-        minus = problem.psi.evaluate(x=X, u=U, up=up_b - e)
+        plus = problem.psi.sample(x=X, u=U, up=up + e)
+        minus = problem.psi.sample(x=X, u=U, up=up - e)
         d = np.abs((plus - minus) / (2 * e))
     if not np.all(np.isfinite(d)):
         raise NumericalError("non-finite psi samples in the Lipschitz box")
     profile = np.maximum.accumulate(d.max(axis=(1, 2)))
-    sample_xs = xs.copy()
-    sample_vals = profile.copy()
 
     def l2_fn(pts):
-        return np.interp(np.asarray(pts, float), sample_xs, sample_vals)
+        return np.interp(np.asarray(pts, float), xs, profile)
 
     return LipschitzData.from_callable(l1, l2_fn)
 
@@ -438,7 +422,7 @@ def nagumo_bound(problem) -> NagumoData:
     phi_spec = getattr(problem, "nagumo_phi", None)
     if phi_spec is None:
         raise ValidationError("no Nagumo majorant configured for this problem")
-    xs, c0, d0 = _initial_profiles(problem)
+    xs, c0, d0 = _bracket_box(problem, SUP_SAMPLES)
     if problem.ordering == "reverse":
         dominating = c0
         diameter = _refined_extremum(c0, xs) - _refined_extremum(d0, xs, sign=-1.0)
@@ -461,7 +445,7 @@ def nagumo_bound(problem) -> NagumoData:
 
         def phi_fn(s):
             with np.errstate(over="ignore"):
-                return np.asarray(expr.evaluate(s=np.asarray(s, float)), float)
+                return expr.sample(s=np.asarray(s, float))
 
         phi_text = expr.text
     else:
@@ -519,9 +503,7 @@ def _auto_majorant(problem, gamma, diameter, density=121):
     Coarse by construction (nondecreasing envelope, constant beyond the
     sampling cap); prefer an explicit phi when certifying results.
     """
-    xs = np.linspace(0.0, 1.0, density)
-    c0 = np.broadcast_to(np.asarray(problem.lower0.evaluate(x=xs), float), xs.shape)
-    d0 = np.broadcast_to(np.asarray(problem.upper0.evaluate(x=xs), float), xs.shape)
+    xs, c0, d0 = _bracket_box(problem, density)
     lo = np.minimum(c0, d0)
     hi = np.maximum(c0, d0)
     frac = np.linspace(0.0, 1.0, 41)
@@ -529,11 +511,10 @@ def _auto_majorant(problem, gamma, diameter, density=121):
     s_cap = 10.0 * (gamma + diameter + 1.0)
     sgrid = np.linspace(0.0, s_cap, 241)
     vals = np.empty_like(sgrid)
-    X = np.broadcast_to(xs[:, None], U.shape)
     for j, s in enumerate(sgrid):
         with np.errstate(over="ignore", invalid="ignore"):
-            a = np.abs(problem.psi.evaluate(x=X, u=U, up=np.full_like(U, s)))
-            b = np.abs(problem.psi.evaluate(x=X, u=U, up=np.full_like(U, -s)))
+            a = np.abs(problem.psi.sample(x=xs[:, None], u=U, up=s))
+            b = np.abs(problem.psi.sample(x=xs[:, None], u=U, up=-s))
         vals[j] = max(np.max(a), np.max(b))
     vals = np.maximum.accumulate(vals) + 1e-12
 

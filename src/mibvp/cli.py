@@ -64,7 +64,6 @@ def _write_meta(out_dir, args, started):
         "version": __version__,
         "python": platform.python_version(),
         "elapsed_seconds": round(time.time() - started, 3),
-        "seed_env": os.environ.get("MIBVP_SEED"),
     }
     _write(out_dir, "run_meta.json", _json_text(meta))
 

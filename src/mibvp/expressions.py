@@ -341,6 +341,16 @@ class Expression:
     def evaluate(self, **env):
         return _eval(self.ast, env)
 
+    def sample(self, **env):
+        """evaluate() as a fresh float array shaped like all inputs broadcast together.
+
+        An expression that ignores some input (a constant, or psi without x)
+        still comes back at the full sample shape.
+        """
+        out = np.empty(np.broadcast(*env.values()).shape)
+        out[...] = self.evaluate(**env)
+        return out
+
     def diff(self, var):
         if var not in VARIABLES:
             raise ExpressionError("cannot differentiate with respect to %r" % var)

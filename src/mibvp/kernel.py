@@ -125,7 +125,7 @@ class KernelFunctions:
         l1, l2 = config.lambda1, config.lambda2
         k = op.k
         C, S = _c_and_s(op)
-        W = _scaled_normalization(config, k, C, S)
+        W = _scaled_normalization(config, op)
         # phi meets the left boundary condition, psi the right one
         phi = lambda z: C(z) + l1 * S(z - xi)  # noqa: E731
         dphi = lambda z: -k * S(z) + l1 * C(z - xi)  # noqa: E731
@@ -186,11 +186,12 @@ def _c_and_s(op: ShiftedOperator):
     return (lambda z: np.cosh(r * z)), (lambda z: np.sinh(r * z) / r)
 
 
-def _scaled_normalization(config: BoundaryConfig, k: float, C, S):
+def _scaled_normalization(config: BoundaryConfig, op: ShiftedOperator) -> float:
     """W, the divisor of every kernel branch and of the boundary term."""
+    C, S = _c_and_s(op)
     xi, eta = config.xi, config.eta
     l1, l2 = config.lambda1, config.lambda2
-    return k * S(1.0) + l2 * C(eta) + l1 * (l2 * S(eta - xi) - C(xi - 1))
+    return op.k * S(1.0) + l2 * C(eta) + l1 * (l2 * S(eta - xi) - C(xi - 1))
 
 
 def normalization_value(config: BoundaryConfig, op: ShiftedOperator) -> float:
@@ -201,24 +202,25 @@ def normalization_value(config: BoundaryConfig, op: ShiftedOperator) -> float:
     k < 0 it is D' = |k| sinh(t) - lambda2 t cosh(t eta)
     - lambda1 lambda2 sinh(t (eta-xi)) + lambda1 t cosh(t (xi-1)), t = sqrt(|k|).
     """
-    C, S = _c_and_s(op)
-    return float(op.k / op.root * _scaled_normalization(config, op.k, C, S))
+    return float(op.k / op.root * _scaled_normalization(config, op))
 
 
 def normalization(config: BoundaryConfig, op: ShiftedOperator) -> float:
-    """Normalization scalar; reports a degenerate (resonant) kernel.
+    """Normalization scalar D; reports a degenerate (resonant) kernel.
 
-    Raises DegenerateKernelError when |D| < 1e-12 rather than silently
-    accepting it, since a vanishing normalization invalidates every sign
-    certificate downstream.
+    Raises DegenerateKernelError when the kernel divisor |W| < 1e-12 rather
+    than silently accepting it, since a vanishing divisor invalidates every
+    sign certificate downstream. The test is on W, not on D = (k/sqrt|k|) W,
+    because D also goes to 0 like sqrt|k| as k -> 0 while the kernel stays
+    well defined.
     """
-    D = normalization_value(config, op)
-    if abs(D) < DEGENERATE_TOL:
+    W = _scaled_normalization(config, op)
+    if abs(W) < DEGENERATE_TOL:
         raise DegenerateKernelError(
-            "kernel normalization is degenerate: |D| = %.3e < %.0e at k = %r"
-            % (abs(D), DEGENERATE_TOL, op.k)
+            "kernel normalization is degenerate: |W| = %.3e < %.0e at k = %r"
+            % (abs(W), DEGENERATE_TOL, op.k)
         )
-    return D
+    return normalization_value(config, op)
 
 
 def green_eval(config: BoundaryConfig, op: ShiftedOperator, x: float, s: float) -> KernelSample:

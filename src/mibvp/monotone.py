@@ -23,10 +23,6 @@ DIVERGENCE_FACTOR = 10.0
 DERIVATIVE_SLACK = 1e-6
 
 
-def _profile(expr: Expression, xs):
-    return np.broadcast_to(np.asarray(expr.evaluate(x=xs), float), np.shape(xs)).copy()
-
-
 @dataclass
 class NonlinearProblem:
     """The nonlinear problem plus its initial bracket and certification data.
@@ -61,15 +57,14 @@ class NonlinearProblem:
                                       % (label, sorted(bad)))
 
     def initial_lower(self, nodes):
-        return _profile(self.lower0, nodes), _profile(self.lower0.diff("x"), nodes)
+        return self.lower0.sample(x=nodes), self.lower0.diff("x").sample(x=nodes)
 
     def initial_upper(self, nodes):
-        return _profile(self.upper0, nodes), _profile(self.upper0.diff("x"), nodes)
+        return self.upper0.sample(x=nodes), self.upper0.diff("x").sample(x=nodes)
 
     def psi_values(self, xs, u, du):
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(self.psi.evaluate(x=xs, u=u, up=du), float)
-        return np.broadcast_to(vals, np.shape(xs))
+            return self.psi.sample(x=xs, u=u, up=du)
 
 
 @dataclass
@@ -109,12 +104,18 @@ class IterationTrace:
         return list(zip(self.step_moves_lower, self.step_moves_upper))
 
     def limit_lower(self):
-        u, du = self.iterates_lower[-1]
-        return GridFunction(self.nodes.copy(), u.copy()), GridFunction(self.nodes.copy(), du.copy())
+        return self._grid_pair(self.iterates_lower[-1])
 
     def limit_upper(self):
-        u, du = self.iterates_upper[-1]
-        return GridFunction(self.nodes.copy(), u.copy()), GridFunction(self.nodes.copy(), du.copy())
+        return self._grid_pair(self.iterates_upper[-1])
+
+    def _grid_pair(self, level):
+        return tuple(GridFunction(self.nodes.copy(), v.copy()) for v in level)
+
+    def _record(self, name, pair):
+        """Append pair[0] to the name_lower list and pair[1] to name_upper."""
+        getattr(self, name + "_lower").append(pair[0])
+        getattr(self, name + "_upper").append(pair[1])
 
     def to_dict(self):
         return {
@@ -141,29 +142,23 @@ class IterationTrace:
         }
 
 
-def iterate_once(problem: NonlinearProblem, k: float, current, nodes=None):
-    """One quasilinearization step from the (u, du) pair `current`.
+def iterate_once(problem: NonlinearProblem, solver, u, du):
+    """One quasilinearization step from the node arrays u and du.
 
-    Builds g = psi(x, u, u') - k u on the grid and solves the shifted linear
-    problem with zero boundary shift. Returns the next (u, du) pair.
+    Builds g = psi(x, u, u') - k u on the solver's grid, with k the solver's
+    shift, and solves the shifted linear problem with zero boundary shift.
+    u and du hold one sequence, shape (n,), or a stack of them, shape
+    (m, n): psi is sampled once over the stack and each row is solved on
+    its own. Returns the next (u, du) pair, shaped like u.
     """
-    if isinstance(current[0], GridFunction):
-        nodes = current[0].nodes if nodes is None else nodes
-        u, du = current[0].values, np.asarray(
-            current[1].values if isinstance(current[1], GridFunction) else current[1],
-            float)
-    elif nodes is None:
-        raise ValidationError("iterate_once needs grid nodes")
-    else:
-        u, du = np.asarray(current[0], float), np.asarray(current[1], float)
-    nodes = np.asarray(nodes, float)
-    g = problem.psi_values(nodes, u, du) - k * u
+    nodes = solver.nodes
+    g = problem.psi_values(nodes, u, du) - solver.op.k * u
     if not np.all(np.isfinite(g)):
-        bad = int(np.argmin(np.isfinite(g)))
+        bad = np.unravel_index(np.argmin(np.isfinite(g)), g.shape)[-1]
         raise NumericalError("source evaluation produced a non-finite value at x=%r"
                              % nodes[bad])
-    solver = get_solver(problem.config, ShiftedOperator(k), nodes)
-    return solver.solve(g, 0.0)
+    nxt = np.array([solver.solve(row, 0.0) for row in g.reshape(-1, nodes.size)])
+    return nxt[:, 0].reshape(g.shape), nxt[:, 1].reshape(g.shape)
 
 
 def _interior_residual(problem, k, nodes, u, du):
@@ -203,85 +198,64 @@ def run(problem: NonlinearProblem, k: float, max_iter: int, tol: float,
     if not (tol > 0):
         raise ValidationError("tol must be positive, got %r" % tol)
     nodes = build_grid(grid_n, problem.config.xi, problem.config.eta)
-    op = ShiftedOperator(k)
-    solver = get_solver(problem.config, op, nodes)
-
-    cu, cdu = problem.initial_lower(nodes)
-    du_, ddu = problem.initial_upper(nodes)
-    bracket_sup = max(np.max(np.abs(cu)), np.max(np.abs(du_)))
+    solver = get_solver(problem.config, ShiftedOperator(k), nodes)
+    (c, dc), (d, dd) = problem.initial_lower(nodes), problem.initial_upper(nodes)
+    # row 0 is the lower sequence, row 1 the upper one
+    u, du = np.array([c, d]), np.array([dc, dd])
+    bracket_sup = np.max(np.abs(u))
     bound = DIVERGENCE_FACTOR * max(bracket_sup, 1e-12)
+    # +1 for a sequence that must rise, -1 for one that must fall; ordered
+    # means the lower row sits on the side the upper row rises towards
+    rise = np.array([-1.0, 1.0] if problem.ordering == "reverse" else [1.0, -1.0])
+
+    def ordered(v):
+        return bool(np.all(rise[1] * v[0] >= rise[1] * v[1] - MONOTONE_SLACK))
 
     nag = problem.nagumo
     track_p = nag is not None and nag.success
     trace = IterationTrace(k=k, nodes=nodes)
-    trace.iterates_lower.append((cu, cdu))
-    trace.iterates_upper.append((du_, ddu))
+    trace._record("iterates", list(zip(u, du)))
     if track_p:
-        trace.derivative_bound_lower = []
-        trace.derivative_bound_upper = []
-
-    def ordered_now(c, d):
-        if problem.ordering == "reverse":
-            return bool(np.all(c >= d - MONOTONE_SLACK))
-        return bool(np.all(c <= d + MONOTONE_SLACK))
-
-    trace.gaps.append(float(np.max(np.abs(cu - du_))))
-    trace.ordered.append(ordered_now(cu, du_))
+        trace.derivative_bound_lower, trace.derivative_bound_upper = [], []
+    trace.gaps.append(float(np.max(np.abs(u[0] - u[1]))))
+    trace.ordered.append(ordered(u))
 
     for _ in range(max_iter):
-        g_c = problem.psi_values(nodes, cu, cdu) - k * cu
-        g_d = problem.psi_values(nodes, du_, ddu) - k * du_
-        if not (np.all(np.isfinite(g_c)) and np.all(np.isfinite(g_d))):
-            raise NumericalError("source evaluation produced non-finite values at step %d"
-                                 % (trace.iterations + 1))
-        cu1, cdu1 = solver.solve(g_c, 0.0)
-        du1, ddu1 = solver.solve(g_d, 0.0)
+        u1, du1 = iterate_once(problem, solver, u, du)
         trace.iterations += 1
 
-        move_c = float(np.max(np.abs(cu1 - cu)))
-        move_d = float(np.max(np.abs(du1 - du_)))
-        trace.step_moves_lower.append(move_c)
-        trace.step_moves_upper.append(move_d)
-        if problem.ordering == "reverse":
-            trace.monotone_lower.append(bool(np.all(cu1 <= cu + MONOTONE_SLACK)))
-            trace.monotone_upper.append(bool(np.all(du1 >= du_ - MONOTONE_SLACK)))
-        else:
-            trace.monotone_lower.append(bool(np.all(cu1 >= cu - MONOTONE_SLACK)))
-            trace.monotone_upper.append(bool(np.all(du1 <= du_ + MONOTONE_SLACK)))
-        trace.ordered.append(ordered_now(cu1, du1))
-        trace.gaps.append(float(np.max(np.abs(cu1 - du1))))
+        moves = np.max(np.abs(u1 - u), axis=1)
+        trace._record("step_moves", moves.tolist())
+        trace._record("monotone", np.all(rise[:, None] * u1 >= rise[:, None] * u
+                                         - MONOTONE_SLACK, axis=1).tolist())
+        trace.ordered.append(ordered(u1))
+        trace.gaps.append(float(np.max(np.abs(u1[0] - u1[1]))))
         if track_p:
-            trace.derivative_bound_lower.append(
-                bool(np.max(np.abs(cdu1)) <= nag.P + DERIVATIVE_SLACK))
-            trace.derivative_bound_upper.append(
-                bool(np.max(np.abs(ddu1)) <= nag.P + DERIVATIVE_SLACK))
+            trace._record("derivative_bound",
+                          (np.max(np.abs(du1), axis=1) <= nag.P + DERIVATIVE_SLACK).tolist())
 
-        cu, cdu, du_, ddu = cu1, cdu1, du1, ddu1
-        trace.iterates_lower.append((cu, cdu))
-        trace.iterates_upper.append((du_, ddu))
+        u, du = u1, du1
+        trace._record("iterates", list(zip(u, du)))
 
-        sup_now = max(np.max(np.abs(cu)), np.max(np.abs(du_)))
+        sup_now = np.max(np.abs(u))
         if sup_now > bound or not np.isfinite(sup_now):
             trace.diverged = True
             raise DivergenceError(
                 "iterate sup-norm %.3e exceeded 10x the initial bracket (%.3e) at step %d"
                 % (sup_now, bracket_sup, trace.iterations), trace=trace)
 
-        if move_c <= tol and move_d <= tol:
+        if np.all(moves <= tol):
             break
 
-    trace.residual_lower = _interior_residual(problem, k, nodes, cu, cdu)
-    trace.residual_upper = _interior_residual(problem, k, nodes, du_, ddu)
+    trace.residual_lower, trace.residual_upper = (
+        _interior_residual(problem, k, nodes, v, dv) for v, dv in zip(u, du))
     trace.final_residual = max(trace.residual_lower, trace.residual_upper)
-    uc, duc = trace.limit_lower()
-    ud, dud = trace.limit_upper()
-    trace.boundary_residual_lower = boundary_residuals(problem.config, uc, duc)
-    trace.boundary_residual_upper = boundary_residuals(problem.config, ud, dud)
-    moves_ok = (trace.step_moves_lower and trace.step_moves_lower[-1] <= tol
-                and trace.step_moves_upper[-1] <= tol)
+    trace.boundary_residual_lower, trace.boundary_residual_upper = (
+        boundary_residuals(problem.config, GridFunction(nodes, v), GridFunction(nodes, dv))
+        for v, dv in zip(u, du))
     bres = trace.boundary_residual_lower + trace.boundary_residual_upper
     trace.converged = bool(
-        moves_ok
+        np.all(moves <= tol)
         and trace.final_residual <= 10 * tol
         and all(abs(r) <= tol for r in bres)
     )
@@ -329,12 +303,10 @@ def verify_initial_bracket(problem: NonlinearProblem, k: float = None,
     i_xi = int(np.argmin(np.abs(nodes - cfg.xi)))
     i_eta = int(np.argmin(np.abs(nodes - cfg.eta)))
 
-    c = _profile(problem.lower0, nodes)
-    dc = _profile(problem.lower0.diff("x"), nodes)
-    d2c = _profile(problem.lower0.diff("x").diff("x"), nodes)
-    d = _profile(problem.upper0, nodes)
-    dd = _profile(problem.upper0.diff("x"), nodes)
-    d2d = _profile(problem.upper0.diff("x").diff("x"), nodes)
+    c, dc = problem.initial_lower(nodes)
+    d, dd = problem.initial_upper(nodes)
+    d2c = problem.lower0.diff("x").diff("x").sample(x=nodes)
+    d2d = problem.upper0.diff("x").diff("x").sample(x=nodes)
 
     psi_c = problem.psi_values(nodes, c, dc)
     psi_d = problem.psi_values(nodes, d, dd)

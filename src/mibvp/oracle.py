@@ -141,10 +141,8 @@ def fd_nonlinear(problem, n: int = 201, tol: float = NEWTON_TOL,
     i_eta = _node_at(nodes, cfg.eta, "eta")
     lam1, lam2 = cfg.lambda1, cfg.lambda2
 
-    c0 = np.asarray(problem.lower0.evaluate(x=nodes), float)
-    d0 = np.asarray(problem.upper0.evaluate(x=nodes), float)
-    c0 = np.broadcast_to(c0, nodes.shape).copy()
-    d0 = np.broadcast_to(d0, nodes.shape).copy()
+    c0 = problem.lower0.sample(x=nodes)
+    d0 = problem.upper0.sample(x=nodes)
     bracket_sup = max(np.max(np.abs(c0)), np.max(np.abs(d0)))
     u = 0.5 * (c0 + d0)
 
@@ -154,9 +152,7 @@ def fd_nonlinear(problem, n: int = 201, tol: float = NEWTON_TOL,
         r = np.empty_like(v)
         up = (v[2:] - v[:-2]) / (2 * h)
         with np.errstate(over="ignore", invalid="ignore"):
-            psi_vals = np.broadcast_to(np.asarray(
-                problem.psi.evaluate(x=nodes[1:-1], u=v[1:-1], up=up), float),
-                nodes[1:-1].shape)
+            psi_vals = problem.psi.sample(x=nodes[1:-1], u=v[1:-1], up=up)
         r[0] = (-3 * v[0] + 4 * v[1] - v[2]) / 2 - h * lam1 * v[i_xi]
         r[1:-1] = -(v[:-2] - 2 * v[1:-1] + v[2:]) - h ** 2 * psi_vals
         r[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / 2 - h * lam2 * v[i_eta]
@@ -166,12 +162,11 @@ def fd_nonlinear(problem, n: int = 201, tol: float = NEWTON_TOL,
         up = (v[2:] - v[:-2]) / (2 * h)
         x_in = nodes[1:-1]
         with np.errstate(over="ignore", invalid="ignore"):
-            pu = np.broadcast_to(np.asarray(
-                psi_u.evaluate(x=x_in, u=v[1:-1], up=up), float), x_in.shape)
+            pu = psi_u.sample(x=x_in, u=v[1:-1], up=up)
             e = 1e-6 * np.maximum(1.0, np.abs(up))
-            pp = problem.psi.evaluate(x=x_in, u=v[1:-1], up=up + e)
-            pm = problem.psi.evaluate(x=x_in, u=v[1:-1], up=up - e)
-            pup = np.broadcast_to(np.asarray((pp - pm) / (2 * e), float), x_in.shape)
+            pp = problem.psi.sample(x=x_in, u=v[1:-1], up=up + e)
+            pm = problem.psi.sample(x=x_in, u=v[1:-1], up=up - e)
+            pup = (pp - pm) / (2 * e)
         rows, cols, vals = [], [], []
 
         def add(i, j, w):

@@ -268,6 +268,54 @@ class TestEstimateLipschitz:
         assert np.all(np.diff(vals) >= -1e-12)
         assert np.all(vals >= 0)
 
+    def test_fallback_bounds_slopes_not_values(self):
+        # no Nagumo P: |u'| <= 2 sup|c0', d0'| + 1 = 3, so
+        # L2(1) = sup |2 x up / 10| = 0.6 (a bound on the values gave 1.0)
+        problem = NonlinearProblem(
+            psi=parse_expression("x*up^2/10 + u/20"),
+            config=CFG1,
+            lower0=parse_expression("1 + x"),
+            upper0=parse_expression("-1 - x"),
+            ordering="reverse",
+        )
+        lip = estimate_lipschitz(problem)
+        assert float(lip.l2_fn(1.0)) == pytest.approx(0.6, rel=1e-9)
+
+
+class TestConstantBracket:
+    """Constant initial solutions evaluate to scalars; the box must still
+    span every sample point."""
+
+    @staticmethod
+    def _problem():
+        return NonlinearProblem(
+            psi=parse_expression("up^2/10"),
+            config=CFG1,
+            lower0=parse_expression("1"),
+            upper0=parse_expression("-1"),
+            ordering="reverse",
+            nagumo_phi="auto",
+        )
+
+    def test_auto_nagumo_bound(self):
+        nag = nagumo_bound(self._problem())
+        assert nag.success is True
+        assert nag.P == pytest.approx(2.4435357457, abs=1e-9)
+
+    def test_l2_with_nagumo_box(self):
+        problem = self._problem()
+        problem.nagumo = nagumo_bound(problem)
+        lip = estimate_lipschitz(problem)
+        xs = np.linspace(0.0, 1.0, 11)
+        assert np.allclose(lip.l2_fn(xs), 0.2 * problem.nagumo.P, rtol=1e-9, atol=0)
+        assert lip.l1 == 0.0
+
+    def test_l2_with_fallback_box(self):
+        # c0' = d0' = 0, so |u'| <= 1 and L2 = 2 * 1 / 10
+        lip = estimate_lipschitz(self._problem())
+        xs = np.linspace(0.0, 1.0, 11)
+        assert np.allclose(lip.l2_fn(xs), 0.2, rtol=1e-9, atol=0)
+
 
 class TestNagumoBound:
     def test_well_ordering_example_succeeds(self, ex2_problem):

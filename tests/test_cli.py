@@ -56,6 +56,7 @@ class TestCheck:
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["command"] == "check"
         assert meta["package"] == "mibvp"
+        assert "seed_env" not in meta
 
 
 class TestScanK:
@@ -232,12 +233,3 @@ class TestParsing:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "absent.json")]) == 1
         assert "validation error" in capsys.readouterr().err
-
-    def test_seed_env_recorded(self, problems_dir, tmp_path, capsys,
-                               monkeypatch):
-        monkeypatch.setenv("MIBVP_SEED", "123")
-        out = tmp_path / "m"
-        assert main(["check", _ex1(problems_dir), "--out", str(out)]) == 0
-        capsys.readouterr()
-        meta = json.loads((out / "run_meta.json").read_text())
-        assert meta["seed_env"] == "123"

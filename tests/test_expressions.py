@@ -66,6 +66,34 @@ def test_vectorized_evaluation_matches_scalar():
             expr.evaluate(x=xs[i], u=us[i], up=ups[i]), rel=1e-14)
 
 
+def test_sample_constant_fills_the_input_shape():
+    xs = np.linspace(0.0, 1.0, 7)
+    vals = parse_expression("2").sample(x=xs)
+    assert vals.shape == (7,)
+    assert vals.dtype == np.float64
+    assert vals.flags.writeable
+    assert np.all(vals == 2.0)
+
+
+def test_sample_broadcasts_mixed_shapes():
+    n, m, p = 3, 4, 5
+    expr = parse_expression("x + u*up")
+    x = np.linspace(0.0, 1.0, n)[:, None, None]
+    u = np.ones((n, m, 1))
+    up = np.arange(p, dtype=float)[None, None, :]
+    vals = expr.sample(x=x, u=u, up=up)
+    assert vals.shape == (n, m, p)
+    assert np.array_equal(vals, x + u * up)
+    assert parse_expression("x").sample(x=x, u=u, up=up).shape == (n, m, p)
+
+
+def test_sample_does_not_alias_its_input():
+    xs = np.linspace(0.0, 1.0, 5)
+    vals = parse_expression("x").sample(x=xs)
+    vals[0] = 9.0
+    assert xs[0] == 0.0
+
+
 def test_variables_reported():
     assert parse_expression("x + up").variables == frozenset({"x", "up"})
     assert parse_expression("s^2").variables == frozenset({"s"})

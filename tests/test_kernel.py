@@ -86,6 +86,14 @@ class TestNormalization:
         with pytest.raises(DegenerateKernelError):
             green_eval(cfg, ShiftedOperator(1.0), 0.5, 0.5)
 
+    def test_tiny_shift_is_not_degenerate(self):
+        # D = (k/sqrt|k|) W vanishes like sqrt|k| as k -> 0, but the divisor
+        # W tends to lambda2 + lambda1 (lambda2 (eta - xi) - 1) = 1.6
+        for k in (1e-26, -1e-26):
+            op = ShiftedOperator(k)
+            assert abs(normalization(CFG1, op)) == pytest.approx(1.6e-13, rel=1e-12)
+            assert green_eval(CFG1, op, 0.3, 0.6).value == pytest.approx(0.875, rel=1e-12)
+
     def test_normalization_value_never_raises(self):
         cfg = BoundaryConfig(0.1, 0.2, math.sin(1.0) / math.cos(0.9), 0.0)
         val = normalization_value(cfg, ShiftedOperator(1.0))

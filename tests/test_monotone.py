@@ -3,8 +3,8 @@ import pytest
 
 from mibvp.errors import DivergenceError, NumericalError, ValidationError
 from mibvp.expressions import parse_expression
-from mibvp.kernel import BoundaryConfig
-from mibvp.linear_bvp import GridFunction, build_grid
+from mibvp.kernel import BoundaryConfig, ShiftedOperator
+from mibvp.linear_bvp import GridFunction, build_grid, get_solver
 from mibvp.monotone import (NonlinearProblem, iterate_once, run,
                             verify_initial_bracket)
 from mibvp.oracle import fd_nonlinear
@@ -105,38 +105,48 @@ class TestIterateOnce:
     def test_oracle_solution_is_nearly_fixed(self, ex1_problem):
         u = fd_nonlinear(ex1_problem, n=1001)
         du = np.gradient(u.values, u.nodes, edge_order=2)
-        u1, _ = iterate_once(ex1_problem, 0.49,
-                             (u, GridFunction(u.nodes, du)))
+        solver = get_solver(CFG1, ShiftedOperator(0.49), u.nodes)
+        u1, _ = iterate_once(ex1_problem, solver, u.values, du)
         assert float(np.max(np.abs(u1 - u.values))) <= 1e-5
 
     def test_limit_is_fixed_point(self, trace_ex1, ex1_problem):
         u, du = trace_ex1.limit_lower()
-        u1, _ = iterate_once(ex1_problem, 0.49, (u, du))
+        solver = get_solver(CFG1, ShiftedOperator(0.49), u.nodes)
+        u1, _ = iterate_once(ex1_problem, solver, u.values, du.values)
         assert float(np.max(np.abs(u1 - u.values))) <= 1e-7
 
     def test_first_step_decreases_reverse(self, ex1_problem):
         xs = build_grid(501, 0.1, 0.2)
         c0, dc0 = ex1_problem.initial_lower(xs)
-        c1, _ = iterate_once(ex1_problem, 0.49, (c0, dc0), nodes=xs)
+        solver = get_solver(CFG1, ShiftedOperator(0.49), xs)
+        c1, _ = iterate_once(ex1_problem, solver, c0, dc0)
         assert np.all(c1 <= c0 + 1e-9)
 
     def test_first_step_increases_well(self, ex2_problem):
         xs = build_grid(501, 0.2, 0.3)
         c0, dc0 = ex2_problem.initial_lower(xs)
-        c1, _ = iterate_once(ex2_problem, -2.0, (c0, dc0), nodes=xs)
+        solver = get_solver(CFG2, ShiftedOperator(-2.0), xs)
+        c1, _ = iterate_once(ex2_problem, solver, c0, dc0)
         assert np.all(c1 >= c0 - 1e-9)
+
+    def test_stack_matches_single_rows(self, ex2_problem):
+        xs = build_grid(101, 0.2, 0.3)
+        solver = get_solver(CFG2, ShiftedOperator(-2.0), xs)
+        pairs = [ex2_problem.initial_lower(xs), ex2_problem.initial_upper(xs)]
+        u, du = np.array(pairs).transpose(1, 0, 2)
+        u1, du1 = iterate_once(ex2_problem, solver, u, du)
+        assert u1.shape == du1.shape == (2, xs.size)
+        for row, (v, dv) in enumerate(pairs):
+            v1, dv1 = iterate_once(ex2_problem, solver, v, dv)
+            assert np.array_equal(u1[row], v1)
+            assert np.array_equal(du1[row], dv1)
 
     def test_non_finite_source(self):
         p = _toy_problem(psi=parse_expression("ln(u)"), config=CFG2)
         xs = build_grid(101, 0.2, 0.3)
+        solver = get_solver(CFG2, ShiftedOperator(-2.0), xs)
         with pytest.raises(NumericalError):
-            iterate_once(p, -2.0, (-np.ones_like(xs), np.zeros_like(xs)),
-                         nodes=xs)
-
-    def test_arrays_need_nodes(self):
-        p = _toy_problem()
-        with pytest.raises(ValidationError):
-            iterate_once(p, 0.49, (np.zeros(11), np.zeros(11)))
+            iterate_once(p, solver, -np.ones_like(xs), np.zeros_like(xs))
 
 
 class TestRunReverse:
