@@ -12,15 +12,15 @@ from .expressions import Expression, parse_expression
 from .kernel import (PI2_OVER_4, BoundaryConfig, KernelSample, Regime,
                      ShiftedOperator, green_dx_sign_check, green_eval,
                      kernel_functions, normalization, normalization_value)
-from .linear_bvp import (GridFunction, LinearRhs, LinearSolver, boundary_residuals,
-                         build_grid, get_solver, solve_linear)
+from .linear_bvp import (GridFunction, LinearSolver, boundary_residuals, build_grid,
+                         get_solver, node_index)
 from .admissibility import (AdmissibilityReport, Condition, LipschitzData,
                             NagumoData, check_negative_k, check_positive_k,
                             estimate_l1, estimate_lipschitz, nagumo_bound,
                             scan_k, sign_table)
 from .monotone import (IterationTrace, NonlinearProblem, iterate_once, run,
                        verify_initial_bracket)
-from .oracle import FdSystem, build_fd_system, fd_linear, fd_nonlinear
+from .oracle import build_fd_system, fd_linear, fd_nonlinear, fd_weights
 from .problems import (EXAMPLE1, EXAMPLE2, ProblemConfig, build_problem,
                        example1, example2)
 
@@ -32,14 +32,14 @@ __all__ = [
     "PI2_OVER_4", "BoundaryConfig", "Regime", "ShiftedOperator", "KernelSample",
     "kernel_functions", "normalization", "normalization_value",
     "green_eval", "green_dx_sign_check",
-    "GridFunction", "LinearRhs", "LinearSolver", "build_grid", "get_solver",
-    "solve_linear", "boundary_residuals",
+    "GridFunction", "LinearSolver", "build_grid", "node_index", "get_solver",
+    "boundary_residuals",
     "LipschitzData", "NagumoData", "AdmissibilityReport", "Condition",
     "check_positive_k", "check_negative_k", "scan_k", "estimate_l1",
     "estimate_lipschitz", "nagumo_bound", "sign_table",
     "NonlinearProblem", "IterationTrace", "iterate_once", "run",
     "verify_initial_bracket",
-    "FdSystem", "build_fd_system", "fd_linear", "fd_nonlinear",
+    "build_fd_system", "fd_linear", "fd_nonlinear", "fd_weights",
     "ProblemConfig", "build_problem", "example1", "example2",
     "EXAMPLE1", "EXAMPLE2",
 ]

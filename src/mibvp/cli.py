@@ -20,7 +20,7 @@ from ._version import __version__
 from .admissibility import check_negative_k, check_positive_k, scan_k
 from .errors import NumericalError, ValidationError
 from .kernel import Regime, ShiftedOperator, kernel_functions, normalization
-from .linear_bvp import GridFunction, LinearRhs, build_grid, solve_linear
+from .linear_bvp import GridFunction, build_grid, get_solver
 from .monotone import run as run_iteration
 from .oracle import fd_linear, fd_nonlinear
 from .problems import ProblemConfig, build_problem
@@ -211,10 +211,9 @@ def cmd_oracle_compare(args):
     grid_n = args.grid_n if args.grid_n is not None else config.grid_n
     nodes = build_grid(grid_n, config.xi, config.eta)
 
-    g = GridFunction(nodes, 1.0 + nodes)
-    u_quad, _ = solve_linear(config.boundary_config, ShiftedOperator(k), LinearRhs(g, 0.0))
-    u_fd = fd_linear(config.boundary_config, k, g, 0.0)
-    diff_linear = float(np.max(np.abs(u_quad.values - u_fd.values)))
+    u_quad, _ = get_solver(config.boundary_config, ShiftedOperator(k), nodes).solve(1.0 + nodes)
+    u_fd = fd_linear(config.boundary_config, k, GridFunction(nodes, 1.0 + nodes), 0.0)
+    diff_linear = float(np.max(np.abs(u_quad - u_fd.values)))
 
     trace = run_iteration(problem, k, max_iter=config.max_iter,
                           tol=config.tol, grid_n=grid_n)

@@ -41,35 +41,6 @@ class GridFunction:
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("grid values must be finite")
 
-    def node_index(self, p: float) -> int:
-        """Index of the node equal to p, or raise."""
-        i = int(np.argmin(np.abs(self.nodes - p)))
-        if abs(self.nodes[i] - p) > NODE_MATCH_TOL:
-            raise ValidationError("grid lacking required node at %r" % p)
-        return i
-
-
-@dataclass
-class LinearRhs:
-    """Right-hand data of the shifted linear problem.
-
-    The boundary constant c_shift enters u'(1) = lambda2*u(eta) + c_shift.
-    The solution formula is linear in c_shift so any finite value is
-    accepted; the sign-certificate principles additionally need
-    c_shift >= 0, which nonnegative_shift reports.
-    """
-
-    g: GridFunction
-    c_shift: float = 0.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.c_shift):
-            raise ValidationError("c_shift must be finite")
-
-    @property
-    def nonnegative_shift(self) -> bool:
-        return self.c_shift >= 0.0
-
 
 def build_grid(n: int, xi: float, eta: float) -> np.ndarray:
     """Uniform n-node grid on [0,1] with xi and eta guaranteed to be nodes.
@@ -89,6 +60,14 @@ def build_grid(n: int, xi: float, eta: float) -> np.ndarray:
     return xs
 
 
+def node_index(nodes, p: float) -> int:
+    """Index of the node within NODE_MATCH_TOL of p, or raise ValidationError."""
+    i = int(np.argmin(np.abs(nodes - p)))
+    if abs(nodes[i] - p) > NODE_MATCH_TOL:
+        raise ValidationError("grid lacking required node at %r" % p)
+    return i
+
+
 class LinearSolver:
     """Precomputed quadrature matrices for one (config, operator, grid) triple.
 
@@ -104,8 +83,7 @@ class LinearSolver:
         self.nodes = np.asarray(nodes, float)
         normalization(config, op)
         for p in (config.xi, config.eta):
-            if np.min(np.abs(self.nodes - p)) > NODE_MATCH_TOL:
-                raise ValidationError("grid lacking required node at %r" % p)
+            node_index(self.nodes, p)
         xs = self.nodes
         n = xs.size
         fns = kernel_functions(config, op)
@@ -161,26 +139,13 @@ def get_solver(config: BoundaryConfig, op: ShiftedOperator, nodes) -> LinearSolv
     return solver
 
 
-def solve_linear(config: BoundaryConfig, op: ShiftedOperator, rhs: LinearRhs):
-    """Solve -u'' - k u = g, u'(0) = lambda1 u(xi), u'(1) = lambda2 u(eta) + c.
+def boundary_residuals(config: BoundaryConfig, nodes, u, du):
+    """r0 = du(0) - lambda1 u(xi), r1 = du(1) - lambda2 u(eta) from node arrays.
 
-    Returns (u, du) as GridFunctions on rhs.g's grid.
+    xi and eta must be nodes so no interpolation is involved.
     """
-    solver = get_solver(config, op, rhs.g.nodes)
-    u, du = solver.solve(rhs.g.values, rhs.c_shift)
-    return (GridFunction(rhs.g.nodes.copy(), u),
-            GridFunction(rhs.g.nodes.copy(), du))
-
-
-def boundary_residuals(config: BoundaryConfig, u: GridFunction, du: GridFunction):
-    """r0 = du(0) - lambda1 u(xi), r1 = du(1) - lambda2 u(eta).
-
-    xi and eta must be grid nodes so no interpolation is involved.
-    """
-    if u.nodes.shape != du.nodes.shape or np.any(u.nodes != du.nodes):
-        raise ValidationError("u and du must share one grid")
-    i_xi = u.node_index(config.xi)
-    i_eta = u.node_index(config.eta)
-    r0 = float(du.values[0] - config.lambda1 * u.values[i_xi])
-    r1 = float(du.values[-1] - config.lambda2 * u.values[i_eta])
+    if not np.shape(nodes) == np.shape(u) == np.shape(du):
+        raise ValidationError("nodes, u and du must have one shape")
+    r0 = float(du[0] - config.lambda1 * u[node_index(nodes, config.xi)])
+    r1 = float(du[-1] - config.lambda2 * u[node_index(nodes, config.eta)])
     return r0, r1

@@ -15,7 +15,9 @@ from .admissibility import LipschitzData, NagumoData
 from .errors import DivergenceError, NumericalError, ValidationError
 from .expressions import Expression
 from .kernel import BoundaryConfig, ShiftedOperator
-from .linear_bvp import GridFunction, boundary_residuals, build_grid, get_solver
+from .linear_bvp import (GridFunction, boundary_residuals, build_grid, get_solver,
+                         node_index)
+from .oracle import fd_weights
 
 ORDERINGS = ("reverse", "well")
 MONOTONE_SLACK = 1e-9
@@ -162,21 +164,18 @@ def iterate_once(problem: NonlinearProblem, solver, u, du):
 
 
 def _interior_residual(problem, k, nodes, u, du):
-    """sup | -u'' - psi(x,u,u') | on interior nodes via a 5-point second difference.
+    """sup | -u'' - psi(x,u,u') | on interior nodes via a 5-point second derivative.
 
-    Skips the two nodes nearest each boundary where the one-sided stencils
-    would dominate the estimate; grids from build_grid are uniform.
+    The weights come from fd_weights, so any build_grid grid works, an
+    inserted xi or eta node included. Skips the two nodes nearest each
+    boundary where the one-sided stencils would dominate the estimate. The
+    weights sum to zero, so they are applied to differences from the centre
+    value, which keeps the 1/h^2 roundoff of the raw values out of the sup.
     """
-    h = nodes[1] - nodes[0]
-    if np.max(np.abs(np.diff(nodes) - h)) > 1e-9 * max(h, 1.0):
-        # non-uniform grid: fall back to the 3-point stencil on raw spacing
-        d2 = np.empty_like(u)
-        d2[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / ((nodes[2:] - nodes[1:-1])
-                                                     * (nodes[1:-1] - nodes[:-2]))
-        res = -d2[1:-1] - problem.psi_values(nodes, u, du)[1:-1]
-        return float(np.max(np.abs(res)))
     i = np.arange(2, len(nodes) - 2)
-    d2 = (-u[i - 2] + 16 * u[i - 1] - 30 * u[i] + 16 * u[i + 1] - u[i + 2]) / (12 * h * h)
+    offsets = np.arange(-2, 3)
+    rises = u[i[:, None] + offsets] - u[i][:, None]
+    d2 = np.sum(fd_weights(nodes, i, offsets, 2) * rises, axis=1)
     res = -d2 - problem.psi_values(nodes[i], u[i], du[i])
     return float(np.max(np.abs(res)))
 
@@ -251,8 +250,7 @@ def run(problem: NonlinearProblem, k: float, max_iter: int, tol: float,
         _interior_residual(problem, k, nodes, v, dv) for v, dv in zip(u, du))
     trace.final_residual = max(trace.residual_lower, trace.residual_upper)
     trace.boundary_residual_lower, trace.boundary_residual_upper = (
-        boundary_residuals(problem.config, GridFunction(nodes, v), GridFunction(nodes, dv))
-        for v, dv in zip(u, du))
+        boundary_residuals(problem.config, nodes, v, dv) for v, dv in zip(u, du))
     bres = trace.boundary_residual_lower + trace.boundary_residual_upper
     trace.converged = bool(
         np.all(moves <= tol)
@@ -300,8 +298,7 @@ def verify_initial_bracket(problem: NonlinearProblem, k: float = None,
     """
     cfg = problem.config
     nodes = build_grid(grid_n, cfg.xi, cfg.eta)
-    i_xi = int(np.argmin(np.abs(nodes - cfg.xi)))
-    i_eta = int(np.argmin(np.abs(nodes - cfg.eta)))
+    i_xi, i_eta = node_index(nodes, cfg.xi), node_index(nodes, cfg.eta)
 
     c, dc = problem.initial_lower(nodes)
     d, dd = problem.initial_upper(nodes)

@@ -1,48 +1,87 @@
 """Independent finite-difference reference solvers.
 
-Deliberately shares no code path with the kernel pipeline: second-order
-central differences inside, 3-point one-sided boundary stencils, sparse LU.
-fd_linear checks the quadrature solver; fd_nonlinear (damped Newton)
-checks the monotone iteration's limit.
+Deliberately shares no code path with the kernel pipeline: it takes only
+the grid (GridFunction, build_grid, node_index) from the rest of the package.
+fd_weights gives finite-difference weights on arbitrarily spaced nodes, so
+every build_grid grid works, including those with an inserted xi or eta.
+The schemes use 3-point stencils: central inside, one-sided in the
+boundary rows, with sparse LU. fd_linear checks the quadrature solver;
+fd_nonlinear (damped Newton) checks the monotone iteration's limit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
+from numpy.polynomial.polynomial import polyvander
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .errors import OracleError, ValidationError
-from .linear_bvp import GridFunction
+from .errors import OracleError
+from .linear_bvp import GridFunction, build_grid, node_index
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX = 60
 HALVING_FLOOR = 2.0 ** -20
 
 
-def _uniform_spacing(nodes):
-    h = nodes[1] - nodes[0]
-    if np.max(np.abs(np.diff(nodes) - h)) > 1e-9 * max(h, 1.0):
-        raise ValidationError("finite-difference oracle needs a uniform grid")
-    return float(h)
+def fd_weights(nodes, centres, offsets, order: int):
+    """Weights of the order-th derivative at nodes[centres] from nearby nodes.
+
+    Row r holds the weights w with sum_j w_j f(nodes[centres[r] + offsets[r, j]])
+    equal to the order-th derivative at nodes[centres[r]] of the polynomial
+    interpolating f on those nodes. offsets is one stencil, shape (w,), or
+    one per centre, shape (m, w). Each stencil's Vandermonde system is solved
+    in units of its own width, so its conditioning does not grow as the grid
+    is refined; Fornberg (Math. Comp. 51, 1988) derives the same weights by
+    recursion. Two nodes much closer than the others still make it
+    ill-conditioned.
+    """
+    centres = np.asarray(centres)
+    offsets = np.broadcast_to(offsets, centres.shape + np.shape(offsets)[-1:])
+    dx = nodes[centres[:, None] + offsets] - nodes[centres][:, None]
+    width = np.ptp(dx, axis=1)[:, None]
+    vandermonde = polyvander(dx / width, offsets.shape[1] - 1).transpose(0, 2, 1)
+    target = np.zeros(offsets.shape + (1,))
+    target[:, order] = factorial(order)
+    return np.linalg.solve(vandermonde, target)[..., 0] / width ** order
 
 
-def _node_at(nodes, p, label):
-    i = int(np.argmin(np.abs(nodes - p)))
-    if abs(nodes[i] - p) > 1e-12:
-        raise ValidationError("%s=%r is not a grid node" % (label, p))
-    return i
+def _stencils(nodes):
+    """Columns and 3-point weights of v' and v'' at every node.
+
+    Interior rows are central. Rows 0 and n-1 are one-sided, as the boundary
+    conditions need, and only their v' weights are used.
+    """
+    n = nodes.size
+    centres = np.arange(n)
+    offsets = np.array([-1, 0, 1]) + np.r_[1, np.zeros(n - 2, int), -1][:, None]
+    return (centres[:, None] + offsets, fd_weights(nodes, centres, offsets, 1),
+            fd_weights(nodes, centres, offsets, 2))
 
 
-@dataclass
-class FdSystem:
-    """Assembled sparse system for the shifted linear problem."""
+def _assemble(config, nodes, stencils, diag, slope, scale):
+    """Sparse matrix of the linear operator the oracle discretizes.
 
-    n: int
-    h: float
-    matrix: sparse.csr_matrix
-    rhs: np.ndarray
+    Interior row i is scale_i * (-v'' - diag_i v - slope_i v') at x_i; row 0
+    is scale_0 * (v'(0) - lambda1 v(xi)) and row n-1 is
+    scale_{n-1} * (v'(1) - lambda2 v(eta)). diag and slope are scalars or
+    hold one value per interior node; scale is a scalar or one per row. The
+    lambda couplings land off the three-band pattern, hence the general
+    sparse matrix.
+    """
+    cols, d1, d2 = stencils
+    n = nodes.size
+    vals = d1.copy()
+    vals[1:-1] = -d2[1:-1] - np.asarray(slope)[..., None] * d1[1:-1]
+    inner = np.arange(1, n - 1)
+    rows = np.r_[np.repeat(np.arange(n), 3), inner, 0, n - 1]
+    cols = np.r_[cols.ravel(), inner, node_index(nodes, config.xi),
+                 node_index(nodes, config.eta)]
+    vals = np.r_[vals.ravel(), -np.broadcast_to(diag, inner.shape),
+                 -config.lambda1, -config.lambda2]
+    vals *= np.broadcast_to(scale, (n,))[rows]
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def _factor_checked(matrix, what):
@@ -64,55 +103,26 @@ def _factor_checked(matrix, what):
     return lu
 
 
-def build_fd_system(config, k: float, g: GridFunction, c_shift: float = 0.0) -> FdSystem:
+def build_fd_system(config, k: float, g: GridFunction, c_shift: float = 0.0):
     """Discretize -u'' - k u = g with the multipoint boundary rows.
 
-    Interior rows are the standard second difference; the boundary rows use
-    one-sided 3-point first-derivative stencils so the whole scheme is
-    O(h^2). The lambda couplings at xi and eta land off the three-band
-    pattern, hence the general sparse matrix.
+    Returns (matrix, rhs) on g's grid. The whole scheme is O(h^2) on a
+    uniform grid; next to an inserted node the interior rows drop to first
+    order in the local spacing.
     """
     nodes = g.nodes
-    n = nodes.size
-    h = _uniform_spacing(nodes)
-    i_xi = _node_at(nodes, config.xi, "xi")
-    i_eta = _node_at(nodes, config.eta, "eta")
-
-    rows, cols, vals = [], [], []
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
-    # u'(0) - lambda1 u(xi) = 0
-    add(0, 0, -1.5 / h)
-    add(0, 1, 2.0 / h)
-    add(0, 2, -0.5 / h)
-    add(0, i_xi, -config.lambda1)
-    for i in range(1, n - 1):
-        add(i, i - 1, -1.0 / h ** 2)
-        add(i, i, 2.0 / h ** 2 - k)
-        add(i, i + 1, -1.0 / h ** 2)
-    # u'(1) - lambda2 u(eta) = c_shift
-    add(n - 1, n - 1, 1.5 / h)
-    add(n - 1, n - 2, -2.0 / h)
-    add(n - 1, n - 3, 0.5 / h)
-    add(n - 1, i_eta, -config.lambda2)
-
-    matrix = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    rhs = np.empty(n)
+    matrix = _assemble(config, nodes, _stencils(nodes), k, 0.0, 1.0)
+    rhs = g.values.copy()
     rhs[0] = 0.0
-    rhs[1:-1] = g.values[1:-1]
     rhs[-1] = c_shift
-    return FdSystem(n=n, h=h, matrix=matrix, rhs=rhs)
+    return matrix, rhs
 
 
 def fd_linear(config, k: float, g: GridFunction, c_shift: float = 0.0) -> GridFunction:
     """Solve the discretized shifted linear problem by sparse LU."""
-    sys_ = build_fd_system(config, k, g, c_shift)
-    lu = _factor_checked(sys_.matrix, "finite-difference system")
-    u = lu.solve(sys_.rhs)
+    matrix, rhs = build_fd_system(config, k, g, c_shift)
+    lu = _factor_checked(matrix, "finite-difference system")
+    u = lu.solve(rhs)
     if not np.all(np.isfinite(u)):
         bad = int(np.argmin(np.isfinite(u)))
         raise OracleError("finite-difference solve produced a non-finite value "
@@ -124,22 +134,23 @@ def fd_nonlinear(problem, n: int = 201, tol: float = NEWTON_TOL,
                  max_newton: int = NEWTON_MAX) -> GridFunction:
     """Damped Newton on the FD residual of -u'' = psi(x, u, u').
 
-    Residual rows are scaled by h^2 (h at the boundary rows) so the
-    convergence test is meaningful near machine precision. The Jacobian is
-    factored at the starting iterate even when the residual is already
-    small, so a singular linearization is reported rather than returning
-    the untested guess. Start is the bracket midpoint; leaving a 10x
-    inflated bracket or stagnating under step halving raises OracleError.
+    Works on build_grid(n, xi, eta). Residual rows are scaled by the local
+    h^2 (h at the boundary rows) so the convergence test is meaningful near
+    machine precision. The Jacobian is factored at the starting iterate even
+    when the residual is already small, so a singular linearization is
+    reported rather than returning the untested guess. Start is the bracket
+    midpoint; leaving a 10x inflated bracket or stagnating under step
+    halving raises OracleError.
     """
-    if (n - 1) % 10 != 0:
-        # keep boundary points like 0.1, 0.2, 0.3 exactly on grid nodes
-        n = 10 * ((n - 1) // 10) + 1
-    nodes = np.linspace(0.0, 1.0, n)
-    h = nodes[1] - nodes[0]
     cfg = problem.config
-    i_xi = _node_at(nodes, cfg.xi, "xi")
-    i_eta = _node_at(nodes, cfg.eta, "eta")
-    lam1, lam2 = cfg.lambda1, cfg.lambda2
+    nodes = build_grid(n, cfg.xi, cfg.eta)
+    stencils = _stencils(nodes)
+    cols, d1, _ = stencils
+    gaps = np.diff(nodes)
+    scale = np.r_[gaps[0], gaps[:-1] * gaps[1:], gaps[-1]]
+    x_in = nodes[1:-1]
+    # the residual is linear_part @ v - scale * psi on the interior rows
+    linear_part = _assemble(cfg, nodes, stencils, 0.0, 0.0, scale)
 
     c0 = problem.lower0.sample(x=nodes)
     d0 = problem.upper0.sample(x=nodes)
@@ -148,45 +159,25 @@ def fd_nonlinear(problem, n: int = 201, tol: float = NEWTON_TOL,
 
     psi_u = problem.psi.diff("u")
 
+    def derivative(v):
+        return np.sum(d1[1:-1] * v[cols[1:-1]], axis=1)
+
     def residual(v):
-        r = np.empty_like(v)
-        up = (v[2:] - v[:-2]) / (2 * h)
         with np.errstate(over="ignore", invalid="ignore"):
-            psi_vals = problem.psi.sample(x=nodes[1:-1], u=v[1:-1], up=up)
-        r[0] = (-3 * v[0] + 4 * v[1] - v[2]) / 2 - h * lam1 * v[i_xi]
-        r[1:-1] = -(v[:-2] - 2 * v[1:-1] + v[2:]) - h ** 2 * psi_vals
-        r[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / 2 - h * lam2 * v[i_eta]
+            psi_vals = problem.psi.sample(x=x_in, u=v[1:-1], up=derivative(v))
+        r = linear_part @ v
+        r[1:-1] -= scale[1:-1] * psi_vals
         return r
 
     def jacobian(v):
-        up = (v[2:] - v[:-2]) / (2 * h)
-        x_in = nodes[1:-1]
+        up = derivative(v)
         with np.errstate(over="ignore", invalid="ignore"):
             pu = psi_u.sample(x=x_in, u=v[1:-1], up=up)
             e = 1e-6 * np.maximum(1.0, np.abs(up))
             pp = problem.psi.sample(x=x_in, u=v[1:-1], up=up + e)
             pm = problem.psi.sample(x=x_in, u=v[1:-1], up=up - e)
             pup = (pp - pm) / (2 * e)
-        rows, cols, vals = [], [], []
-
-        def add(i, j, w):
-            rows.append(i)
-            cols.append(j)
-            vals.append(w)
-
-        add(0, 0, -1.5)
-        add(0, 1, 2.0)
-        add(0, 2, -0.5)
-        add(0, i_xi, -h * lam1)
-        for idx, i in enumerate(range(1, n - 1)):
-            add(i, i - 1, -1.0 + (h / 2) * pup[idx])
-            add(i, i, 2.0 - h ** 2 * pu[idx])
-            add(i, i + 1, -1.0 - (h / 2) * pup[idx])
-        add(n - 1, n - 1, 1.5)
-        add(n - 1, n - 2, -2.0)
-        add(n - 1, n - 3, 0.5)
-        add(n - 1, i_eta, -h * lam2)
-        return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+        return _assemble(cfg, nodes, stencils, pu, pup, scale)
 
     def factor(v):
         return _factor_checked(jacobian(v), "Newton Jacobian")

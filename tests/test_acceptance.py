@@ -17,7 +17,7 @@ import pytest
 from mibvp.admissibility import (check_negative_k, estimate_l1, nagumo_bound,
                                  scan_k, sign_table)
 from mibvp.kernel import (PI2_OVER_4, ShiftedOperator, kernel_functions)
-from mibvp.linear_bvp import GridFunction, LinearRhs, build_grid, solve_linear
+from mibvp.linear_bvp import GridFunction, build_grid, get_solver
 from mibvp.monotone import run
 from mibvp.oracle import fd_linear, fd_nonlinear
 from mibvp.problems import EXAMPLE1, EXAMPLE2
@@ -128,14 +128,13 @@ def test_criterion_06_linear_solver_random_data(ex1_problem, ex2_problem):
         a = rng.uniform(-2.0, 2.0, size=5)
         g = (a[0] + a[1] * xs + a[2] * xs ** 2
              + a[3] * np.sin(3 * xs) + a[4] * np.cos(2 * xs))
-        u, _ = solve_linear(cfg, ShiftedOperator(k), LinearRhs(GridFunction(xs, g), 0.0))
+        v, _ = get_solver(cfg, ShiftedOperator(k), xs).solve(g)
         h = xs[1] - xs[0]
-        v = u.values
         upp = (-v[:-4] + 16 * v[1:-3] - 30 * v[2:-2] + 16 * v[3:-1] - v[4:]) \
             / (12 * h * h)
         res = float(np.max(np.abs(-upp - k * v[2:-2] - g[2:-2])))
         u_fd = fd_linear(cfg, k, GridFunction(xs, g), 0.0)
-        fd_diff = float(np.max(np.abs(u.values - u_fd.values)))
+        fd_diff = float(np.max(np.abs(v - u_fd.values)))
         worst_res = max(worst_res, res)
         worst_fd = max(worst_fd, fd_diff)
     ok = worst_res <= 1e-5 and worst_fd <= 1e-4
@@ -186,12 +185,11 @@ def test_criterion_08_sign_principles_random_data(ex1_problem, ex2_problem):
         xs = build_grid(501, cfg.xi, cfg.eta)
         a = np.abs(rng.uniform(0.0, 2.0, size=4))
         g = a[0] + a[1] * xs + a[2] * xs ** 2
-        u, _ = solve_linear(cfg, ShiftedOperator(k),
-                            LinearRhs(GridFunction(xs, g), float(a[3])))
+        u, _ = get_solver(cfg, ShiftedOperator(k), xs).solve(g, float(a[3]))
         if k > 0:
-            worst_pos = max(worst_pos, float(np.max(u.values)))
+            worst_pos = max(worst_pos, float(np.max(u)))
         else:
-            worst_neg = min(worst_neg, float(np.min(u.values)))
+            worst_neg = min(worst_neg, float(np.min(u)))
     ok = worst_pos <= 1e-10 and worst_neg >= -1e-10
     print("CRITERION 8: %s - 10 random nonnegative sources: positive-regime "
           "max %.3e (<= 1e-10), negative-regime min %.3e (>= -1e-10)"

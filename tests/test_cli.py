@@ -197,6 +197,18 @@ class TestOracleCompare:
         assert cases["linear-vs-fd"] <= 1e-4
         assert cases["monotone-vs-fd-newton"] <= 1e-4
 
+    def test_inserted_xi_node(self, tmp_path, capsys):
+        # xi = 0.123 is not a node of the uniform grid; both checks run on
+        # the build_grid nodes
+        data = copy.deepcopy(EXAMPLE1)
+        data["boundary"]["xi"] = 0.123
+        assert main(["oracle-compare", _config_file(tmp_path, data)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        rows = {row["case"]: row for row in payload["rows"]}
+        assert rows["linear-vs-fd"]["sup_diff"] <= 1e-4
+        assert rows["monotone-vs-fd-newton"]["sup_diff"] <= 1e-4
+        assert rows["monotone-vs-fd-newton"]["grid_n"] == 202
+
 
 class TestNagumo:
     def test_failure_verdict(self, problems_dir, capsys):

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from mibvp.errors import ValidationError
 from mibvp.kernel import BoundaryConfig, ShiftedOperator
-from mibvp.linear_bvp import (GridFunction, LinearRhs, boundary_residuals,
-                              build_grid, get_solver, solve_linear)
+from mibvp.linear_bvp import (GridFunction, boundary_residuals, build_grid, get_solver,
+                              node_index)
 
 CFG1 = BoundaryConfig(0.1, 0.2, 2.0, 3.0)
 CFG2 = BoundaryConfig(0.2, 0.3, 0.25, 1.0 / 9.0)
@@ -32,6 +32,12 @@ class TestBuildGrid:
         assert 0.155 in xs and 0.2 in xs
         assert np.all(np.diff(xs) > 0)
 
+    def test_node_index(self):
+        xs = build_grid(501, 0.1, 0.2)
+        assert node_index(xs, 0.1) == 50
+        with pytest.raises(ValidationError):
+            node_index(xs, 0.1234567)
+
 
 class TestGridFunction:
     def test_requires_unit_interval(self):
@@ -53,32 +59,9 @@ class TestGridFunction:
         with pytest.raises(ValidationError):
             GridFunction(np.linspace(0, 1, 5), np.zeros(6))
 
-    def test_node_index(self):
-        xs = build_grid(501, 0.1, 0.2)
-        f = GridFunction(xs, np.zeros_like(xs))
-        assert f.node_index(0.1) == 50
-        with pytest.raises(ValidationError):
-            f.node_index(0.1234567)
-
-
-class TestLinearRhs:
-    def test_any_finite_shift_accepted(self):
-        xs = build_grid(11, 0.1, 0.2)
-        g = GridFunction(xs, np.ones_like(xs))
-        assert LinearRhs(g, -3.5).nonnegative_shift is False
-        assert LinearRhs(g, 0.0).nonnegative_shift is True
-        assert LinearRhs(g, 2.0).nonnegative_shift is True
-
-    def test_infinite_shift_rejected(self):
-        xs = build_grid(11, 0.1, 0.2)
-        g = GridFunction(xs, np.ones_like(xs))
-        with pytest.raises(ValidationError):
-            LinearRhs(g, float("inf"))
-
 
 def _solve(cfg, op, xs, g_vals, c_shift):
-    rhs = LinearRhs(GridFunction(xs, g_vals), c_shift)
-    return solve_linear(cfg, op, rhs)
+    return get_solver(cfg, op, xs).solve(g_vals, c_shift)
 
 
 class TestSolveLinear:
@@ -86,8 +69,8 @@ class TestSolveLinear:
         for cfg, op in ((CFG1, OP1), (CFG2, OP2)):
             xs = build_grid(101, cfg.xi, cfg.eta)
             u, du = _solve(cfg, op, xs, np.zeros_like(xs), 0.0)
-            assert np.all(u.values == 0.0)
-            assert np.all(du.values == 0.0)
+            assert np.all(u == 0.0)
+            assert np.all(du == 0.0)
 
     def test_manufactured_positive_regime(self):
         # u* = 1 + 2.525 x + x^2 satisfies the left condition of CFG1
@@ -96,8 +79,8 @@ class TestSolveLinear:
         u_star = 1.0 + 2.525 * xs + xs ** 2
         g = -2.0 - 0.49 * u_star
         u, du = _solve(CFG1, OP1, xs, g, -0.11)
-        err = float(np.max(np.abs(u.values - u_star)))
-        derr = float(np.max(np.abs(du.values - (2.525 + 2 * xs))))
+        err = float(np.max(np.abs(u - u_star)))
+        derr = float(np.max(np.abs(du - (2.525 + 2 * xs))))
         assert err <= 2e-7
         assert err == pytest.approx(1.1181716613909917e-07, rel=1e-3)
         assert derr <= 5e-7
@@ -111,7 +94,7 @@ class TestSolveLinear:
         u_star = 1.0 + b * xs + xs ** 2
         g = -2.0 + 2.0 * u_star
         u, du = _solve(CFG2, OP2, xs, g, c)
-        err = float(np.max(np.abs(u.values - u_star)))
+        err = float(np.max(np.abs(u - u_star)))
         assert err <= 2e-7
         assert err == pytest.approx(1.6653437064878168e-07, rel=1e-3)
 
@@ -120,31 +103,29 @@ class TestSolveLinear:
         g = np.sin(3 * xs) + 2.0
         for c_shift in (0.0, -0.11, 1.7):
             u, du = _solve(CFG1, OP1, xs, g, c_shift)
-            r0, r1 = boundary_residuals(CFG1, u, du)
+            r0, r1 = boundary_residuals(CFG1, xs, u, du)
             assert r0 == pytest.approx(0.0, abs=1e-12)
             assert r1 - c_shift == pytest.approx(0.0, abs=1e-12)
 
     def test_boundary_residuals_grid_mismatch(self):
         xs = build_grid(101, CFG1.xi, CFG1.eta)
         ys = build_grid(501, CFG1.xi, CFG1.eta)
-        u = GridFunction(xs, np.zeros_like(xs))
-        du = GridFunction(ys, np.zeros_like(ys))
         with pytest.raises(ValidationError):
-            boundary_residuals(CFG1, u, du)
+            boundary_residuals(CFG1, xs, np.zeros_like(xs), np.zeros_like(ys))
 
     def test_anti_maximum_positive_regime(self):
         # nonnegative data force a nonpositive solution when k > 0
         xs = build_grid(501, CFG1.xi, CFG1.eta)
         u, _ = _solve(CFG1, OP1, xs, 1.0 + xs, 0.5)
-        assert float(u.values.max()) < 0.0
-        assert float(u.values.max()) == pytest.approx(-0.6117, abs=1e-3)
+        assert float(u.max()) < 0.0
+        assert float(u.max()) == pytest.approx(-0.6117, abs=1e-3)
 
     def test_maximum_negative_regime(self):
         # the same data force a nonnegative solution when k < 0
         xs = build_grid(501, CFG2.xi, CFG2.eta)
         u, _ = _solve(CFG2, OP2, xs, 1.0 + xs, 0.5)
-        assert float(u.values.min()) > 0.0
-        assert float(u.values.min()) == pytest.approx(0.7693, abs=1e-3)
+        assert float(u.min()) > 0.0
+        assert float(u.min()) == pytest.approx(0.7693, abs=1e-3)
 
     def test_linearity(self):
         xs = build_grid(301, CFG2.xi, CFG2.eta)
@@ -154,15 +135,15 @@ class TestSolveLinear:
         u2, du2 = _solve(CFG2, OP2, xs, g2, -1.1)
         a, b = 2.5, -0.75
         u3, du3 = _solve(CFG2, OP2, xs, a * g1 + b * g2, a * 0.4 + b * (-1.1))
-        assert np.max(np.abs(u3.values - (a * u1.values + b * u2.values))) <= 1e-10
-        assert np.max(np.abs(du3.values - (a * du1.values + b * du2.values))) <= 1e-10
+        assert np.max(np.abs(u3 - (a * u1 + b * u2))) <= 1e-10
+        assert np.max(np.abs(du3 - (a * du1 + b * du2))) <= 1e-10
 
     def test_derivative_consistency(self):
         xs = build_grid(1001, CFG1.xi, CFG1.eta)
         g = np.sin(3 * xs) + 2.0
         u, du = _solve(CFG1, OP1, xs, g, 0.3)
-        num = np.gradient(u.values, xs, edge_order=2)
-        assert float(np.max(np.abs(du.values[1:-1] - num[1:-1]))) <= 1e-5
+        num = np.gradient(u, xs, edge_order=2)
+        assert float(np.max(np.abs(du[1:-1] - num[1:-1]))) <= 1e-5
 
     def test_operator_residual(self):
         # -u'' - k u = g on a 5-point interior stencil, both regimes
@@ -170,8 +151,7 @@ class TestSolveLinear:
             xs = build_grid(1001, cfg.xi, cfg.eta)
             h = xs[1] - xs[0]
             g = np.sin(3 * xs) + 2.0
-            u, _ = _solve(cfg, op, xs, g, 0.25)
-            v = u.values
+            v, _ = _solve(cfg, op, xs, g, 0.25)
             upp = (-v[:-4] + 16 * v[1:-3] - 30 * v[2:-2] + 16 * v[3:-1] - v[4:]) \
                 / (12 * h * h)
             res = -upp - op.k * v[2:-2] - g[2:-2]
@@ -180,9 +160,8 @@ class TestSolveLinear:
     def test_missing_interior_node_rejected(self):
         # 0.1 is not a node of linspace(0,1,100)
         xs = np.linspace(0.0, 1.0, 100)
-        g = GridFunction(xs, np.ones_like(xs))
         with pytest.raises(ValidationError):
-            solve_linear(CFG1, OP1, LinearRhs(g, 0.0))
+            get_solver(CFG1, OP1, xs)
 
     def test_solver_cache_returns_same_object(self):
         xs = build_grid(101, CFG1.xi, CFG1.eta)
@@ -196,10 +175,8 @@ class TestSolveLinear:
 def test_sign_principles_hold_for_nonnegative_data(a, b, c):
     xs = build_grid(201, 0.1, 0.2)
     g = a + b * xs
-    rhs = LinearRhs(GridFunction(xs, g), c)
-    u_pos, _ = solve_linear(CFG1, OP1, rhs)
-    assert float(u_pos.values.max()) <= 1e-10
+    u_pos, _ = _solve(CFG1, OP1, xs, g, c)
+    assert float(u_pos.max()) <= 1e-10
     ys = build_grid(201, 0.2, 0.3)
-    rhs2 = LinearRhs(GridFunction(ys, a + b * ys), c)
-    u_neg, _ = solve_linear(CFG2, OP2, rhs2)
-    assert float(u_neg.values.min()) >= -1e-10
+    u_neg, _ = _solve(CFG2, OP2, ys, a + b * ys, c)
+    assert float(u_neg.min()) >= -1e-10

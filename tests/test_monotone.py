@@ -163,6 +163,16 @@ class TestRunReverse:
             assert abs(r) <= 1e-8
         assert t.gaps[-1] <= 1e-6
 
+    @pytest.mark.parametrize("grid_n", [500, 502, 1000])
+    def test_converges_with_inserted_nodes(self, ex1_problem, grid_n):
+        # xi and eta are not nodes of linspace(0, 1, grid_n), so build_grid
+        # inserts them; the residual must not blow up next to them
+        t = run(ex1_problem, 0.49, max_iter=300, tol=1e-8, grid_n=grid_n)
+        assert t.nodes.size == grid_n + 2
+        assert t.converged is True
+        assert t.iterations == 21
+        assert t.final_residual <= 1e-8
+
     def test_limit_value(self, trace_ex1):
         u, _ = trace_ex1.limit_lower()
         assert u.values[0] == pytest.approx(-0.00114916, abs=1e-6)
@@ -183,6 +193,13 @@ class TestRunWell:
         assert all(t.monotone_lower)
         assert all(t.monotone_upper)
         assert all(t.ordered)
+
+    def test_converges_with_inserted_nodes(self, ex2_problem):
+        t = run(ex2_problem, -2.0, max_iter=1500, tol=1e-8, grid_n=500)
+        assert t.nodes.size == 502
+        assert t.converged is True
+        assert t.iterations == 232
+        assert t.final_residual <= 1e-7
 
     def test_limit_value(self, trace_ex2):
         u, _ = trace_ex2.limit_lower()
