@@ -21,6 +21,9 @@ from .kernel import PI2_OVER_4, BoundaryConfig, Regime, ShiftedOperator, normali
 
 SUP_SAMPLES = 2001
 SCAN_REFINE_TOL = 1e-4
+# x samples of the bracket box searched by the Lipschitz estimates and the
+# sampled Nagumo majorant
+BOX_SAMPLES = 121
 
 
 def _as_profile(fn):
@@ -44,11 +47,6 @@ def _refined_extremum(vals, xs, sign=1.0):
             if abs(delta) <= 1.0:
                 best = max(best, y1 - 0.25 * (y0 - y2) * delta)
     return float(sign * best)
-
-
-def _sup_on_unit_interval(profile, n=SUP_SAMPLES):
-    xs = np.linspace(0.0, 1.0, n)
-    return _refined_extremum(profile(xs), xs, sign=1.0)
 
 
 @dataclass
@@ -134,6 +132,8 @@ class NagumoData:
 
 @dataclass
 class Condition:
+    """One named verdict and its margin, in admissibility and bracket reports."""
+
     cid: str
     ok: bool
     margin: float
@@ -180,6 +180,11 @@ _KERNEL_SIGN = {
 }
 
 
+def _l34a_slope(l1, l2, k, r):
+    """(L1 - k) cos r + L2 r sin r with r = sqrt(k); L2 is a profile or its sup."""
+    return (l1 - k) * np.cos(r) + l2 * r * np.sin(r)
+
+
 def check_positive_k(config: BoundaryConfig, k: float, lip: LipschitzData) -> AdmissibilityReport:
     """Certify a positive shift: kernel-sign conditions plus slope conditions.
 
@@ -197,8 +202,7 @@ def check_positive_k(config: BoundaryConfig, k: float, lip: LipschitzData) -> Ad
     v2 = _KERNEL_SIGN["A1-2"](config, r)
     v3 = _KERNEL_SIGN["A1-3"](config, r)
     xs = np.linspace(0.0, 1.0, SUP_SAMPLES)
-    slope_a = (lip.l1 - k) * np.cos(r) + lip.l2_fn(xs) * r * np.sin(r)
-    sup_a = _refined_extremum(slope_a, xs)
+    sup_a = _refined_extremum(_l34a_slope(lip.l1, lip.l2_fn(xs), k, r), xs)
     val_b = (lip.l1 - k) + lip.l2prime_sup
     conditions = [
         Condition("Dk>0", D > 0, D),
@@ -358,7 +362,7 @@ def _lipschitz_box(problem, nx, nu):
     return xs, U, W
 
 
-def estimate_l1(problem, sample_density: int = 121) -> float:
+def estimate_l1(problem) -> float:
     """Estimate the one-sided Lipschitz constant of psi in u.
 
     Samples the signed partial d psi/du by central differences over the box
@@ -367,8 +371,7 @@ def estimate_l1(problem, sample_density: int = 121) -> float:
     positive part for the reverse ordering and the negative-part magnitude
     for the well ordering.
     """
-    nx = int(sample_density)
-    xs, U, W = _lipschitz_box(problem, nx, nx)
+    xs, U, W = _lipschitz_box(problem, BOX_SAMPLES, BOX_SAMPLES)
     X = xs[:, None, None]
     up = np.linspace(-W, W, 41)[None, None, :]
     e = 1e-5 * np.maximum(1.0, np.abs(U))
@@ -383,7 +386,7 @@ def estimate_l1(problem, sample_density: int = 121) -> float:
     return float(max(np.max(-d), 0.0))
 
 
-def estimate_lipschitz(problem, sample_density: int = 121) -> LipschitzData:
+def estimate_lipschitz(problem) -> LipschitzData:
     """Estimate full Lipschitz data (L1 plus an L2 profile) from psi.
 
     The L2 profile is the per-x supremum of |d psi/du'| over the sample box,
@@ -391,8 +394,8 @@ def estimate_lipschitz(problem, sample_density: int = 121) -> LipschitzData:
     the problem configuration when available; this estimator is a sampled
     stand-in.
     """
-    l1 = estimate_l1(problem, sample_density)
-    xs, U, W = _lipschitz_box(problem, int(sample_density), 41)
+    l1 = estimate_l1(problem)
+    xs, U, W = _lipschitz_box(problem, BOX_SAMPLES, 41)
     X = xs[:, None, None]
     up = np.linspace(-W, W, 41)[None, None, :]
     e = 1e-5 * np.maximum(1.0, np.abs(up))
@@ -497,13 +500,13 @@ def nagumo_bound(problem) -> NagumoData:
                       phi_text=phi_text)
 
 
-def _auto_majorant(problem, gamma, diameter, density=121):
+def _auto_majorant(problem, gamma, diameter):
     """Sampled growth majorant: sup over the bracket of |psi| at each slope.
 
     Coarse by construction (nondecreasing envelope, constant beyond the
     sampling cap); prefer an explicit phi when certifying results.
     """
-    xs, c0, d0 = _bracket_box(problem, density)
+    xs, c0, d0 = _bracket_box(problem, BOX_SAMPLES)
     lo = np.minimum(c0, d0)
     hi = np.maximum(c0, d0)
     frac = np.linspace(0.0, 1.0, 41)
@@ -538,7 +541,7 @@ def sign_table(config: BoundaryConfig, lip: LipschitzData, regime, k_lo: float,
         if not (0.0 < k_lo and k_hi < PI2_OVER_4):
             raise ValidationError("regime mismatch for the positive sign table")
         quantities = [
-            ("L34a-sup", lambda r, k: (lip.l1 - k) * np.cos(r) + lip.l2_sup * r * np.sin(r)),
+            ("L34a-sup", lambda r, k: _l34a_slope(lip.l1, lip.l2_sup, k, r)),
             ("A1-3", lambda r, k: _KERNEL_SIGN["A1-3"](config, r)),
             ("A1-2", lambda r, k: _KERNEL_SIGN["A1-2"](config, r)),
             ("Dk", lambda r, k: normalization_value(config, ShiftedOperator(k))),

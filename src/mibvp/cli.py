@@ -109,7 +109,6 @@ def cmd_scan_k(args):
     problem = build_problem(config)
     lo, hi, steps = config.scan_range()
     regime = Regime.POSITIVE_K if lo > 0 else Regime.NEGATIVE_K
-    checker = check_positive_k if regime is Regime.POSITIVE_K else check_negative_k
     intervals = scan_k(config.boundary_config, problem.lip, regime, lo, hi, steps)
     payload = {
         "regime": regime.value,
@@ -121,10 +120,10 @@ def cmd_scan_k(args):
     sys.stdout.write(_json_text(payload))
     if args.out:
         rows = []
-        for k in np.linspace(lo, hi, steps):
-            report = checker(config.boundary_config, float(k), problem.lip)
+        for k in np.linspace(lo, hi, steps).tolist():
+            report = _checker_for(k)(config.boundary_config, k, problem.lip)
             for cond in report.conditions:
-                rows.append((float(k), cond.cid, float(cond.margin),
+                rows.append((k, cond.cid, float(cond.margin),
                              "true" if cond.ok else "false"))
         _write(args.out, "scan_margins.csv",
                _csv_text(("k", "condition", "margin", "pass"), rows))

@@ -35,6 +35,7 @@ from .errors import DegenerateKernelError, ValidationError
 PI2_OVER_4 = np.pi ** 2 / 4
 
 DEGENERATE_TOL = 1e-12
+DX_SIGN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -277,9 +278,8 @@ class DxSignReport:
         }
 
 
-def green_dx_sign_check(config: BoundaryConfig, op: ShiftedOperator, grid,
-                        tolerance: float = 1e-10) -> DxSignReport:
-    """Check dG/dx <= tolerance at every off-diagonal point of grid x grid.
+def green_dx_sign_check(config: BoundaryConfig, op: ShiftedOperator, grid) -> DxSignReport:
+    """Check dG/dx <= DX_SIGN_TOL at every off-diagonal point of grid x grid.
 
     Only meaningful in the negative-k regime (regime mismatch otherwise).
     """
@@ -304,11 +304,11 @@ def green_dx_sign_check(config: BoundaryConfig, op: ShiftedOperator, grid,
 
     max_b, worst_b = side_max(d_below, below_mask)
     max_a, worst_a = side_max(d_above, above_mask)
-    ok_b = max_b <= tolerance
-    ok_a = max_a <= tolerance
+    ok_b = max_b <= DX_SIGN_TOL
+    ok_a = max_a <= DX_SIGN_TOL
     return DxSignReport(
         ok=ok_b and ok_a, ok_below=ok_b, ok_above=ok_a,
         max_below=max_b, max_above=max_a,
         worst_below=worst_b, worst_above=worst_a,
-        tolerance=tolerance,
+        tolerance=DX_SIGN_TOL,
     )

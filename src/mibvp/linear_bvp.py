@@ -45,15 +45,20 @@ class GridFunction:
 def build_grid(n: int, xi: float, eta: float) -> np.ndarray:
     """Uniform n-node grid on [0,1] with xi and eta guaranteed to be nodes.
 
-    A node within 1e-9 of xi or eta is snapped onto it exactly; otherwise
-    the point is inserted (making the grid locally non-uniform).
+    The nearest interior node moves onto xi or eta when it lies within h/4,
+    h = 1/(n-1); otherwise the point is inserted (making the grid locally
+    non-uniform). Nodes 0 and n-1 and a node already holding the other
+    point never move, so xi < h/4, or 0 < eta - xi < h/4, inserts instead.
     """
     if n < 5:
         raise ValidationError("grid needs at least 5 nodes, got %r" % n)
     xs = np.linspace(0.0, 1.0, int(n))
-    for p in (xi, eta):
+    h = 1.0 / (int(n) - 1)
+    for p, other in ((xi, eta), (eta, xi)):
         i = int(np.argmin(np.abs(xs - p)))
-        if abs(xs[i] - p) < 1e-9:
+        if xs[i] == p:
+            continue
+        if 0 < i < xs.size - 1 and abs(xs[i] - p) < h / 4 and xs[i] != other:
             xs[i] = p
         else:
             xs = np.sort(np.append(xs, p))
@@ -124,19 +129,13 @@ class LinearSolver:
         return u, du
 
 
-_SOLVER_CACHE: dict = {}
-
-
 def get_solver(config: BoundaryConfig, op: ShiftedOperator, nodes) -> LinearSolver:
-    """Memoized LinearSolver lookup (matrices are the expensive part)."""
-    key = (config, op, np.asarray(nodes, float).tobytes())
-    solver = _SOLVER_CACHE.get(key)
-    if solver is None:
-        if len(_SOLVER_CACHE) > 8:
-            _SOLVER_CACHE.clear()
-        solver = LinearSolver(config, op, nodes)
-        _SOLVER_CACHE[key] = solver
-    return solver
+    """A new LinearSolver for the triple; nothing is memoized.
+
+    A run solves at one fixed shift on one grid, so it needs one solver;
+    the caller holds it for as long as it needs the matrices.
+    """
+    return LinearSolver(config, op, nodes)
 
 
 def boundary_residuals(config: BoundaryConfig, nodes, u, du):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admissibility import LipschitzData, NagumoData
+from .admissibility import Condition, LipschitzData, NagumoData
 from .errors import DivergenceError, NumericalError, ValidationError
 from .expressions import Expression
 from .kernel import BoundaryConfig, ShiftedOperator
@@ -43,7 +43,6 @@ class NonlinearProblem:
     lip: LipschitzData | None = None
     nagumo: NagumoData | None = None
     nagumo_phi: object = None
-    name: str | None = None
 
     def __post_init__(self):
         if self.ordering not in ORDERINGS:
@@ -261,16 +260,6 @@ def run(problem: NonlinearProblem, k: float, max_iter: int, tol: float,
 
 
 @dataclass
-class BracketCheck:
-    cid: str
-    ok: bool
-    margin: float
-
-    def to_dict(self):
-        return {"id": self.cid, "ok": bool(self.ok), "margin": float(self.margin)}
-
-
-@dataclass
 class BracketReport:
     checks: list
     ok: bool
@@ -285,19 +274,18 @@ class BracketReport:
         return {"ok": bool(self.ok), "checks": [c.to_dict() for c in self.checks]}
 
 
-def verify_initial_bracket(problem: NonlinearProblem, k: float = None,
-                           grid_n: int = 501, slack: float = MONOTONE_SLACK) -> BracketReport:
+def verify_initial_bracket(problem: NonlinearProblem, k: float = None) -> BracketReport:
     """Check that lower0/upper0 really are lower/upper solutions.
 
     Lower side: psi(x,c,c') + c'' >= 0, c'(0) = lambda1 c(xi) (to 1e-9), and
     lambda2 c(eta) - c'(1) >= 0. Upper side mirrored. Also checks the
     declared ordering and, when k is given, the cross condition
-    psi(x,d,d') - psi(x,c,c') - k (d - c) >= 0. Margins are the most
-    negative slack observed (>= -slack passes). Pure report, never raises
-    on a failed inequality.
+    psi(x,d,d') - psi(x,c,c') - k (d - c) >= 0, all on the 501-node grid.
+    Margins are the most negative slack observed (>= -MONOTONE_SLACK
+    passes). Pure report, never raises on a failed inequality.
     """
     cfg = problem.config
-    nodes = build_grid(grid_n, cfg.xi, cfg.eta)
+    nodes = build_grid(501, cfg.xi, cfg.eta)
     i_xi, i_eta = node_index(nodes, cfg.xi), node_index(nodes, cfg.eta)
 
     c, dc = problem.initial_lower(nodes)
@@ -308,21 +296,16 @@ def verify_initial_bracket(problem: NonlinearProblem, k: float = None,
     psi_c = problem.psi_values(nodes, c, dc)
     psi_d = problem.psi_values(nodes, d, dd)
 
-    checks = [
-        BracketCheck("lower-interior", None, float(np.min(psi_c + d2c))),
-        BracketCheck("lower-bc0", None, -abs(dc[0] - cfg.lambda1 * c[i_xi])),
-        BracketCheck("lower-bc1", None, float(cfg.lambda2 * c[i_eta] - dc[-1])),
-        BracketCheck("upper-interior", None, float(np.min(-(psi_d + d2d)))),
-        BracketCheck("upper-bc0", None, -abs(dd[0] - cfg.lambda1 * d[i_xi])),
-        BracketCheck("upper-bc1", None, float(dd[-1] - cfg.lambda2 * d[i_eta])),
+    margins = [
+        ("lower-interior", np.min(psi_c + d2c)),
+        ("lower-bc0", -abs(dc[0] - cfg.lambda1 * c[i_xi])),
+        ("lower-bc1", cfg.lambda2 * c[i_eta] - dc[-1]),
+        ("upper-interior", np.min(-(psi_d + d2d))),
+        ("upper-bc0", -abs(dd[0] - cfg.lambda1 * d[i_xi])),
+        ("upper-bc1", dd[-1] - cfg.lambda2 * d[i_eta]),
+        ("ordering", np.min(c - d) if problem.ordering == "reverse" else np.min(d - c)),
     ]
-    if problem.ordering == "reverse":
-        checks.append(BracketCheck("ordering", None, float(np.min(c - d))))
-    else:
-        checks.append(BracketCheck("ordering", None, float(np.min(d - c))))
     if k is not None:
-        cross = psi_d - psi_c - k * (d - c)
-        checks.append(BracketCheck("cross", None, float(np.min(cross))))
-    for chk in checks:
-        chk.ok = chk.margin >= -slack
+        margins.append(("cross", np.min(psi_d - psi_c - k * (d - c))))
+    checks = [Condition(cid, m >= -MONOTONE_SLACK, m) for cid, m in margins]
     return BracketReport(checks=checks, ok=all(chk.ok for chk in checks))

@@ -130,8 +130,7 @@ def fd_linear(config, k: float, g: GridFunction, c_shift: float = 0.0) -> GridFu
     return GridFunction(g.nodes.copy(), u)
 
 
-def fd_nonlinear(problem, n: int = 201, tol: float = NEWTON_TOL,
-                 max_newton: int = NEWTON_MAX) -> GridFunction:
+def fd_nonlinear(problem, n: int = 201) -> GridFunction:
     """Damped Newton on the FD residual of -u'' = psi(x, u, u').
 
     Works on build_grid(n, xi, eta). Residual rows are scaled by the local
@@ -188,8 +187,8 @@ def fd_nonlinear(problem, n: int = 201, tol: float = NEWTON_TOL,
     rnorm = np.max(np.abs(r))
     lu = factor(u)
 
-    for _ in range(max_newton):
-        if rnorm <= tol:
+    for _ in range(NEWTON_MAX):
+        if rnorm <= NEWTON_TOL:
             break
         step = lu.solve(-r)
         alpha = 1.0
@@ -209,7 +208,7 @@ def fd_nonlinear(problem, n: int = 201, tol: float = NEWTON_TOL,
                               "(sup %.3e)" % np.max(np.abs(u)))
         lu = factor(u)
     else:
-        if rnorm > tol:
+        if rnorm > NEWTON_TOL:
             raise OracleError("Newton did not reach tolerance: last residual %.3e"
                               % rnorm)
     return GridFunction(nodes, u)

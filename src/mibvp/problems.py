@@ -206,13 +206,12 @@ class ProblemConfig:
         return -10.0, -0.01, 400
 
 
-def build_problem(config: ProblemConfig, with_lipschitz: bool = True,
-                  with_nagumo: bool = True) -> NonlinearProblem:
+def build_problem(config: ProblemConfig, with_lipschitz: bool = True) -> NonlinearProblem:
     """Turn a validated config into a ready-to-run NonlinearProblem.
 
-    Attaches the Nagumo verdict first (the Lipschitz estimator's sampling
-    box uses P when one exists), then the explicit Lipschitz override or a
-    sampled estimate.
+    Attaches the Nagumo verdict first when the config has a nagumo section
+    (the Lipschitz estimator's sampling box uses P when one exists), then
+    the explicit Lipschitz override or a sampled estimate.
     """
     phi_spec = None
     if config.nagumo is not None:
@@ -226,7 +225,7 @@ def build_problem(config: ProblemConfig, with_lipschitz: bool = True,
         ordering=config.ordering,
         nagumo_phi=phi_spec,
     )
-    if with_nagumo and phi_spec is not None:
+    if phi_spec is not None:
         problem.nagumo = nagumo_bound(problem)
     if with_lipschitz:
         if config.lipschitz is not None:

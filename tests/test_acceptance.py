@@ -120,15 +120,16 @@ def test_criterion_06_linear_solver_random_data(ex1_problem, ex2_problem):
     rng = np.random.default_rng(12345)
     worst_res = 0.0
     worst_fd = 0.0
+    cases = [(p.config, k, get_solver(p.config, ShiftedOperator(k),
+                                      build_grid(1001, p.config.xi, p.config.eta)))
+             for p, k in ((ex1_problem, 0.49), (ex2_problem, -2.0))]
     for i in range(20):
-        problem = ex1_problem if i % 2 == 0 else ex2_problem
-        k = 0.49 if i % 2 == 0 else -2.0
-        cfg = problem.config
-        xs = build_grid(1001, cfg.xi, cfg.eta)
+        cfg, k, solver = cases[i % 2]
+        xs = solver.nodes
         a = rng.uniform(-2.0, 2.0, size=5)
         g = (a[0] + a[1] * xs + a[2] * xs ** 2
              + a[3] * np.sin(3 * xs) + a[4] * np.cos(2 * xs))
-        v, _ = get_solver(cfg, ShiftedOperator(k), xs).solve(g)
+        v, _ = solver.solve(g)
         h = xs[1] - xs[0]
         upp = (-v[:-4] + 16 * v[1:-3] - 30 * v[2:-2] + 16 * v[3:-1] - v[4:]) \
             / (12 * h * h)
@@ -178,14 +179,15 @@ def test_criterion_08_sign_principles_random_data(ex1_problem, ex2_problem):
     rng = np.random.default_rng(2718)
     worst_pos = -np.inf
     worst_neg = np.inf
+    cases = [(k, get_solver(p.config, ShiftedOperator(k),
+                            build_grid(501, p.config.xi, p.config.eta)))
+             for p, k in ((ex1_problem, 0.49), (ex2_problem, -2.0))]
     for i in range(10):
-        problem = ex1_problem if i % 2 == 0 else ex2_problem
-        k = 0.49 if i % 2 == 0 else -2.0
-        cfg = problem.config
-        xs = build_grid(501, cfg.xi, cfg.eta)
+        k, solver = cases[i % 2]
+        xs = solver.nodes
         a = np.abs(rng.uniform(0.0, 2.0, size=4))
         g = a[0] + a[1] * xs + a[2] * xs ** 2
-        u, _ = get_solver(cfg, ShiftedOperator(k), xs).solve(g, float(a[3]))
+        u, _ = solver.solve(g, float(a[3]))
         if k > 0:
             worst_pos = max(worst_pos, float(np.max(u)))
         else:

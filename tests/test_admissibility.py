@@ -404,7 +404,7 @@ class TestNagumoBound:
 
     def test_sampled_majorant(self, ex2_config):
         from mibvp.problems import build_problem
-        problem = build_problem(ex2_config, with_nagumo=False)
+        problem = build_problem(ex2_config)
         problem.nagumo_phi = "auto"
         nag = nagumo_bound(problem)
         assert nag.success is True

@@ -141,11 +141,6 @@ class TestBuildProblem:
         assert p.nagumo is not None and p.nagumo.success is True
         assert p.nagumo.P == pytest.approx(5.9795, abs=1e-3)
 
-    def test_without_nagumo(self, ex1_config):
-        p = build_problem(ex1_config, with_nagumo=False)
-        assert p.nagumo is None
-        assert p.nagumo_phi is not None
-
     def test_without_lipschitz(self, ex1_config):
         p = build_problem(ex1_config, with_lipschitz=False)
         assert p.lip is None
