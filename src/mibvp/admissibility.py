@@ -24,6 +24,8 @@ SCAN_REFINE_TOL = 1e-4
 # x samples of the bracket box searched by the Lipschitz estimates and the
 # sampled Nagumo majorant
 BOX_SAMPLES = 121
+# k samples of a sign_table window
+SIGN_TABLE_SAMPLES = 2000
 
 
 def _as_profile(fn):
@@ -55,7 +57,8 @@ class LipschitzData:
 
     l2_fn and l2prime_fn map node arrays to L2(x) and L2'(x) values.
     notes holds sampled-invariant violations (nonzero at the origin,
-    decreasing somewhere, negative somewhere) without rejecting the data.
+    decreasing somewhere, negative somewhere) without rejecting the data;
+    a non-finite L2 or L2' sample is rejected.
     """
 
     l1: float
@@ -94,7 +97,13 @@ class LipschitzData:
     @classmethod
     def _build(cls, l1, l2_fn, l2p_fn, l2_text):
         xs = np.linspace(0.0, 1.0, SUP_SAMPLES)
-        vals = l2_fn(xs)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            vals = l2_fn(xs)
+            dvals = l2p_fn(xs)
+        for name, v in (("L2", vals), ("L2'", dvals)):
+            if not np.all(np.isfinite(v)):
+                raise ValidationError("%s is not finite at x = %r"
+                                      % (name, float(xs[np.argmin(np.isfinite(v))])))
         notes = []
         if abs(vals[0]) > 1e-9:
             notes.append("L2(0) is not zero (%.3e)" % vals[0])
@@ -107,7 +116,7 @@ class LipschitzData:
             l2_fn=l2_fn,
             l2prime_fn=l2p_fn,
             l2_sup=_refined_extremum(vals, xs),
-            l2prime_sup=_refined_extremum(l2p_fn(xs), xs),
+            l2prime_sup=_refined_extremum(dvals, xs),
             l2_text=l2_text,
             notes=tuple(notes),
         )
@@ -229,6 +238,9 @@ def check_negative_k(config: BoundaryConfig, k: float, lip: LipschitzData) -> Ad
       A'2      k <= min{-L1, -lambda1^2, (L1 + lambda1 sup L2)/(1 - sup L2),
                -sup_x [L1 + L2' + L2^2/2 + (L2/2) sqrt(L2^2 + 4(L1 + L2'))]}
                (the ratio component only applies when 1 - sup L2 > 0)
+
+    A negative L2^2 + 4(L1 + L2') somewhere (possible only where L2' < 0)
+    leaves the A'2 bound undefined and raises ValidationError.
     """
     if k >= 0:
         raise ValidationError("k out of regime: negative checks need k < 0, got %r" % k)
@@ -243,8 +255,12 @@ def check_negative_k(config: BoundaryConfig, k: float, lip: LipschitzData) -> Ad
     l2pv = lip.l2prime_fn(xs)
     sup_slope = _refined_extremum(l2pv + l2v * t, xs)
     val_55a = (lip.l1 + k) + sup_slope
-    comb = lip.l1 + l2pv + 0.5 * l2v ** 2 \
-        + 0.5 * l2v * np.sqrt(l2v ** 2 + 4 * (lip.l1 + l2pv))
+    disc = l2v ** 2 + 4 * (lip.l1 + l2pv)
+    if np.any(disc < 0):
+        raise ValidationError(
+            "A'2 is undefined: L2^2 + 4(L1 + L2') < 0 at x = %r"
+            % float(xs[np.argmax(disc < 0)]))
+    comb = lip.l1 + l2pv + 0.5 * l2v ** 2 + 0.5 * l2v * np.sqrt(disc)
     sup4 = _refined_extremum(comb, xs)
     components = {
         "neg_l1": -lip.l1,
@@ -269,13 +285,17 @@ def check_negative_k(config: BoundaryConfig, k: float, lip: LipschitzData) -> Ad
     )
 
 
-def _normalize_regime(regime) -> Regime:
-    if isinstance(regime, Regime):
-        return regime
+def _regime_for_range(regime, k_lo: float, k_hi: float) -> Regime:
+    """The Regime named by regime; a k range outside it raises ValidationError."""
     try:
-        return Regime(regime)
+        regime = Regime(regime)
     except ValueError:
         raise ValidationError("unknown regime %r" % (regime,)) from None
+    if regime is Regime.POSITIVE_K and not (0.0 < k_lo and k_hi < PI2_OVER_4):
+        raise ValidationError("regime mismatch: positive k range must lie in (0, pi^2/4)")
+    if regime is Regime.NEGATIVE_K and not k_hi < 0.0:
+        raise ValidationError("regime mismatch: negative k range must lie below 0")
+    return regime
 
 
 def scan_k(config: BoundaryConfig, lip: LipschitzData, regime, k_lo: float,
@@ -285,21 +305,12 @@ def scan_k(config: BoundaryConfig, lip: LipschitzData, regime, k_lo: float,
     Returns a list of (lo, hi) pairs, the maximal admissible subintervals of
     [k_lo, k_hi] sampled at `steps` points and refined to 1e-4 in k.
     """
-    regime = _normalize_regime(regime)
+    regime = _regime_for_range(regime, k_lo, k_hi)
     if not (k_lo < k_hi):
         raise ValidationError("empty scan range: k_lo=%r k_hi=%r" % (k_lo, k_hi))
     if steps < 2:
         raise ValidationError("scan needs at least 2 steps, got %r" % steps)
-    if regime is Regime.POSITIVE_K:
-        if not (0.0 < k_lo and k_hi < PI2_OVER_4):
-            raise ValidationError(
-                "regime mismatch: positive scan range must lie in (0, pi^2/4)"
-            )
-        checker = check_positive_k
-    else:
-        if not (k_hi < 0.0):
-            raise ValidationError("regime mismatch: negative scan range must lie below 0")
-        checker = check_negative_k
+    checker = check_positive_k if regime is Regime.POSITIVE_K else check_negative_k
 
     def admissible(k):
         return checker(config, k, lip).admissible
@@ -528,18 +539,17 @@ def _auto_majorant(problem, gamma, diameter):
 
 
 def sign_table(config: BoundaryConfig, lip: LipschitzData, regime, k_lo: float,
-               k_hi: float, samples: int = 2000):
+               k_hi: float):
     """Sign table for the plotted admissibility quantities over a k-window.
 
     Returns a list of rows {id, crossings, first_crossing}; crossings counts
-    sign changes of the sampled quantity, first_crossing refines the first
-    one by root bracketing (None when the sign never changes).
+    sign changes of the quantity sampled at SIGN_TABLE_SAMPLES shifts,
+    first_crossing refines the first one by root bracketing (None when the
+    sign never changes).
     """
-    regime = _normalize_regime(regime)
-    ks = np.linspace(k_lo, k_hi, int(samples))
+    regime = _regime_for_range(regime, k_lo, k_hi)
+    ks = np.linspace(k_lo, k_hi, SIGN_TABLE_SAMPLES)
     if regime is Regime.POSITIVE_K:
-        if not (0.0 < k_lo and k_hi < PI2_OVER_4):
-            raise ValidationError("regime mismatch for the positive sign table")
         quantities = [
             ("L34a-sup", lambda r, k: _l34a_slope(lip.l1, lip.l2_sup, k, r)),
             ("A1-3", lambda r, k: _KERNEL_SIGN["A1-3"](config, r)),
@@ -547,8 +557,6 @@ def sign_table(config: BoundaryConfig, lip: LipschitzData, regime, k_lo: float,
             ("Dk", lambda r, k: normalization_value(config, ShiftedOperator(k))),
         ]
     else:
-        if not (k_hi < 0.0):
-            raise ValidationError("regime mismatch for the negative sign table")
         quantities = [
             ("A'1-1-endpoint", lambda t, k: t * np.cosh(t) - config.lambda2 * np.sinh(t)),
             ("A'1-2", lambda t, k: _KERNEL_SIGN["A'1-2"](config, t)),

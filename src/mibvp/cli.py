@@ -19,7 +19,7 @@ import numpy as np
 from ._version import __version__
 from .admissibility import check_negative_k, check_positive_k, scan_k
 from .errors import NumericalError, ValidationError
-from .kernel import Regime, ShiftedOperator, kernel_functions, normalization
+from .kernel import Regime, ShiftedOperator, kernel_functions
 from .linear_bvp import GridFunction, build_grid, get_solver
 from .monotone import run as run_iteration
 from .oracle import fd_linear, fd_nonlinear
@@ -182,14 +182,11 @@ def cmd_greens_dump(args):
     m = args.grid_n if args.grid_n is not None else 101
     if m < 2:
         raise ValidationError("greens-dump needs a grid of at least 2 points")
-    normalization(config.boundary_config, op)
     fns = kernel_functions(config.boundary_config, op)
     pts = np.linspace(0.0, 1.0, m)
     x, s = pts[None, :], pts[:, None]  # rows run s outer, x inner
     value = fns.value(x, s)
-    # on the diagonal the derivative is the limit from below, as in green_eval
-    dvalue = np.where(x <= s, fns.dvalue_dx(x, s, below=True),
-                      fns.dvalue_dx(x, s, below=False))
+    dvalue = fns.dvalue_dx(x, s)
     xs, ss = np.meshgrid(pts, pts)
     rows = list(zip(xs.ravel().tolist(), ss.ravel().tolist(),
                     value.ravel().tolist(), dvalue.ravel().tolist()))

@@ -10,11 +10,13 @@ psi(z) = C(z - 1) + lambda2 S(z - eta) and the scalar
 W = k S(1) + lambda2 C(eta) + lambda1 (lambda2 S(eta - xi) - C(xi - 1)).
 
 G(x,s) has six branches, keyed by the s-region (s <= xi, xi <= s <= eta,
-eta <= s) crossed with the side x <= s ("below" the diagonal) versus x >= s
+eta <= s) crossed with the side x <= s ("below" the diagonal) versus x > s
 ("above"), each divided by W. Branch values are continuous across x = s and
 across the s = xi and s = eta seams; the x-derivative jumps by exactly +1
-across x = s, consistent with -G_xx - k G = delta(x - s). The boundary term
-is -phi/W.
+across x = s, consistent with -G_xx - k G = delta(x - s). G and dG/dx
+follow one rule: a point with x <= s takes the below branch, so on the
+diagonal dG/dx is the limit from below and the limit from above is one
+more. The boundary term is -phi/W.
 
 The below branch satisfies the left boundary identity
 G_x(0,s) = lambda1*G(xi,s) pointwise and the above branch the right one,
@@ -111,17 +113,18 @@ class KernelSample:
 class KernelFunctions:
     """Vectorized kernel closures for one (config, operator) pair.
 
-    value(x, s) evaluates G, dvalue_dx(x, s, below=...) the one-sided
-    x-derivative, boundary_term(x) the complementary-function factor
-    multiplying the boundary constant, boundary_term_dx its derivative.
-    Factors of x alone or s alone are evaluated on their own axis and
-    broadcast only when multiplied together.
+    value(x, s) evaluates G and dvalue_dx(x, s) its x-derivative, both with
+    the below branch where x <= s and the above branch elsewhere;
+    boundary_term(x) is the complementary-function factor multiplying the
+    boundary constant, boundary_term_dx its derivative. Factors of x alone
+    or s alone are evaluated on their own axis and broadcast only when
+    multiplied together. A resonant shift raises DegenerateKernelError.
     """
 
     def __init__(self, config: BoundaryConfig, op: ShiftedOperator):
+        normalization(config, op)
         self.config = config
         self.op = op
-        self.normalization = normalization_value(config, op)
         xi, eta = config.xi, config.eta
         l1, l2 = config.lambda1, config.lambda2
         k = op.k
@@ -146,15 +149,13 @@ class KernelFunctions:
                               C(x - 1) * phi(s) + a3 * S(x - s))
             return np.where(x <= s, below, above) / W
 
-        def dvalue_dx(x, s, below):
+        def dvalue_dx(x, s):
             x, s = np.asarray(x, float), np.asarray(s, float)
-            if below:
-                d = by_region(s, -k * S(x) * psi(s) - a1 * C(s - x),
+            below = by_region(s, -k * S(x) * psi(s) - a1 * C(s - x),
                               dphi(x) * psi(s), dphi(x) * C(s - 1))
-            else:
-                d = by_region(s, dpsi(x) * C(s), dpsi(x) * phi(s),
+            above = by_region(s, dpsi(x) * C(s), dpsi(x) * phi(s),
                               -k * S(x - 1) * phi(s) + a3 * C(x - s))
-            return d / W
+            return np.where(x <= s, below, above) / W
 
         def boundary_term(x):
             return -phi(np.asarray(x, float)) / W
@@ -227,19 +228,16 @@ def normalization(config: BoundaryConfig, op: ShiftedOperator) -> float:
 def green_eval(config: BoundaryConfig, op: ShiftedOperator, x: float, s: float) -> KernelSample:
     """Evaluate G and its x-derivative at one point.
 
-    Off the diagonal the derivative belongs to the active branch (below for
-    x < s, above for x > s). On the diagonal the below limit is stored and
-    flagged, because the solution-derivative quadrature splits at x.
+    The derivative follows the kernel's x <= s rule: below branch for
+    x <= s, above branch for x > s. On the diagonal that is the limit from
+    below, flagged by diagonal_left_limit; the limit from above is one more.
     """
     if not (0.0 <= x <= 1.0 and 0.0 <= s <= 1.0):
         raise ValidationError("x and s must lie in [0, 1], got x=%r s=%r" % (x, s))
-    normalization(config, op)
     fns = kernel_functions(config, op)
-    value = float(fns.value(x, s))
-    on_diag = x == s
-    dvalue = float(fns.dvalue_dx(x, s, below=(x <= s)))
-    return KernelSample(x=x, s=s, value=value, dvalue_dx=dvalue,
-                        diagonal_left_limit=bool(on_diag))
+    return KernelSample(x=x, s=s, value=float(fns.value(x, s)),
+                        dvalue_dx=float(fns.dvalue_dx(x, s)),
+                        diagonal_left_limit=bool(x == s))
 
 
 @dataclass
@@ -287,23 +285,19 @@ def green_dx_sign_check(config: BoundaryConfig, op: ShiftedOperator, grid) -> Dx
         raise ValidationError(
             "regime mismatch: the derivative sign check applies to negative k only, got k=%r" % op.k
         )
-    normalization(config, op)
-    nodes = np.asarray(grid, float)
     fns = kernel_functions(config, op)
+    nodes = np.asarray(grid, float)
     X = nodes[:, None]
     S = nodes[None, :]
-    below_mask = X < S
-    above_mask = X > S
-    d_below = fns.dvalue_dx(X, S, below=True)
-    d_above = fns.dvalue_dx(X, S, below=False)
+    d = fns.dvalue_dx(X, S)
 
-    def side_max(d, mask):
+    def side_max(mask):
         vals = np.where(mask, d, -np.inf)
         idx = np.unravel_index(np.argmax(vals), vals.shape)
         return float(vals[idx]), (float(nodes[idx[0]]), float(nodes[idx[1]]))
 
-    max_b, worst_b = side_max(d_below, below_mask)
-    max_a, worst_a = side_max(d_above, above_mask)
+    max_b, worst_b = side_max(X < S)
+    max_a, worst_a = side_max(X > S)
     ok_b = max_b <= DX_SIGN_TOL
     ok_a = max_a <= DX_SIGN_TOL
     return DxSignReport(

@@ -2,8 +2,8 @@
 
 The solution is the boundary term times the shift constant minus the kernel
 quadrature, u(x) = c*B(x) - int_0^1 G(x,s) g(s) ds, and its derivative uses
-the analytically differentiated boundary term plus the one-sided kernel
-derivatives with the integral split at s = x.
+the analytically differentiated boundary term plus the kernel x-derivative,
+whose unit jump at s = x falls on a panel endpoint.
 
 Quadrature is composite Simpson per grid panel. g is known only at the
 nodes; the panel midpoint value is the mean of the endpoint samples, which
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .kernel import BoundaryConfig, ShiftedOperator, kernel_functions, normalization
+from .kernel import BoundaryConfig, ShiftedOperator, kernel_functions
 
 NODE_MATCH_TOL = 1e-12
 
@@ -76,48 +76,31 @@ def node_index(nodes, p: float) -> int:
 class LinearSolver:
     """Precomputed quadrature matrices for one (config, operator, grid) triple.
 
-    solve(g_values, c_shift) costs two matrix-vector products. The derivative
-    matrix uses the above-diagonal kernel branch for panels left of each x_i
-    and the below branch for panels right of it; x_i is always a panel
-    endpoint so the split lands exactly on the derivative kink.
+    solve(g_values, c_shift) costs two matrix-vector products. One Simpson
+    assembly builds both matrices from the kernel sampled at the nodes and
+    at the panel midpoints. The kernel's x <= s rule gives dG/dx(x_i, x_i)
+    the limit from below, but panel i-1 ends on x_i from the left, where its
+    integrand is the limit from above, one more; so the diagonal gets
+    w_{i-1}/6 on top.
     """
 
     def __init__(self, config: BoundaryConfig, op: ShiftedOperator, nodes):
         self.config = config
         self.op = op
         self.nodes = np.asarray(nodes, float)
-        normalization(config, op)
+        fns = kernel_functions(config, op)
         for p in (config.xi, config.eta):
             node_index(self.nodes, p)
         xs = self.nodes
         n = xs.size
-        fns = kernel_functions(config, op)
         mids = 0.5 * (xs[:-1] + xs[1:])
         w = np.diff(xs)
         X = xs[:, None]
-        Gv = fns.value(X, xs[None, :])
-        Gm = fns.value(X, mids[None, :])
-        Dav = fns.dvalue_dx(X, xs[None, :], below=False)
-        Dbv = fns.dvalue_dx(X, xs[None, :], below=True)
-        Dam = fns.dvalue_dx(X, mids[None, :], below=False)
-        Dbm = fns.dvalue_dx(X, mids[None, :], below=True)
-        co = w / 6.0
-        Qn = np.zeros((n, n))
-        Qd = np.zeros((n, n))
-        # Simpson with midpoint = mean of endpoints: panel j contributes
-        # (w/6)*(G(x, s_j) + 2 Gm) to column j and (w/6)*(G(x, s_{j+1}) + 2 Gm)
-        # to column j+1.
-        Qn[:, :-1] += co * (Gv[:, :-1] + 2 * Gm)
-        Qn[:, 1:] += co * (Gv[:, 1:] + 2 * Gm)
-        i_idx = np.arange(n)[:, None]
-        j_idx = np.arange(n - 1)[None, :]
-        above = j_idx < i_idx  # panel j lies entirely left of x_i
-        Pl = np.where(above, Dav[:, :-1], Dbv[:, :-1])
-        Pr = np.where(above, Dav[:, 1:], Dbv[:, 1:])
-        Pm = np.where(above, Dam, Dbm)
-        Qd[:, :-1] += co * (Pl + 2 * Pm)
-        Qd[:, 1:] += co * (Pr + 2 * Pm)
-        self.value_matrix = Qn
+        self.value_matrix = _simpson(w, fns.value(X, xs[None, :]),
+                                     fns.value(X, mids[None, :]))
+        Qd = _simpson(w, fns.dvalue_dx(X, xs[None, :]), fns.dvalue_dx(X, mids[None, :]))
+        diag = np.arange(1, n)
+        Qd[diag, diag] += w / 6.0
         self.derivative_matrix = Qd
         self.boundary_values = fns.boundary_term(xs)
         self.boundary_derivatives = fns.boundary_term_dx(xs)
@@ -127,6 +110,20 @@ class LinearSolver:
         u = c_shift * self.boundary_values - self.value_matrix @ g
         du = c_shift * self.boundary_derivatives - self.derivative_matrix @ g
         return u, du
+
+
+def _simpson(w, at_nodes, at_mids):
+    """Simpson matrix from kernel samples F(x_i, s_j) and F(x_i, m_j).
+
+    With the midpoint g taken as the mean of the endpoint samples, panel j
+    adds (w_j/6)(F(x, s_j) + 2 F(x, m_j)) to column j and
+    (w_j/6)(F(x, s_{j+1}) + 2 F(x, m_j)) to column j+1.
+    """
+    co = w / 6.0
+    Q = np.zeros(at_nodes.shape)
+    Q[:, :-1] += co * (at_nodes[:, :-1] + 2 * at_mids)
+    Q[:, 1:] += co * (at_nodes[:, 1:] + 2 * at_mids)
+    return Q
 
 
 def get_solver(config: BoundaryConfig, op: ShiftedOperator, nodes) -> LinearSolver:

@@ -156,14 +156,11 @@ def test_criterion_07_kernel_sign_certificates(ex1_problem, ex2_problem):
     for k in (-2.0, -4.0):
         fns = kernel_functions(ex2_problem.config, ShiftedOperator(k))
         max_neg = max(max_neg, float(np.max(fns.value(X, S))))
-        off_below = X < S
-        off_above = X > S
-        d_below = fns.dvalue_dx(X, S, below=True)
-        d_above = fns.dvalue_dx(X, S, below=False)
+        d = fns.dvalue_dx(X, S)
         max_slope = max(
             max_slope,
-            float(np.max(np.where(off_below, d_below, -np.inf))),
-            float(np.max(np.where(off_above, d_above, -np.inf))))
+            float(np.max(np.where(X < S, d, -np.inf))),
+            float(np.max(np.where(X > S, d, -np.inf))))
     ok = min_pos >= -1e-12 and max_neg <= 1e-12 and max_slope <= 1e-10
     print("CRITERION 7: %s - positive-regime kernel min %.3e (>= -1e-12), "
           "negative-regime kernel max %.3e (<= 1e-12), off-diagonal slope "
@@ -226,9 +223,9 @@ def test_criterion_10_certification_summary(ex1_problem, ex2_problem):
 
     pos_rows = {r["id"]: r for r in sign_table(
         ex1_problem.config, ex1_problem.lip, "positive",
-        1e-3, PI2_OVER_4 * 0.9999, 2000)}
+        1e-3, PI2_OVER_4 * 0.9999)}
     neg_rows = {r["id"]: r for r in sign_table(
-        ex2_problem.config, ex2_problem.lip, "negative", -10.0, -0.01, 2000)}
+        ex2_problem.config, ex2_problem.lip, "negative", -10.0, -0.01)}
     crossings = {rid: row["crossings"]
                  for rid, row in list(pos_rows.items()) + list(neg_rows.items())}
     expected_crossings = {"L34a-sup": 2, "A1-3": 0, "A1-2": 1, "Dk": 0,

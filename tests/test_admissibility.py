@@ -413,8 +413,7 @@ class TestNagumoBound:
 
 class TestSignTable:
     def test_positive_window(self):
-        rows = sign_table(CFG1, LIP1, "positive", 1e-3,
-                          PI2_OVER_4 * 0.9999, 2000)
+        rows = sign_table(CFG1, LIP1, "positive", 1e-3, PI2_OVER_4 * 0.9999)
         by_id = {r["id"]: r for r in rows}
         assert by_id["L34a-sup"]["crossings"] == 2
         assert by_id["L34a-sup"]["first_crossing"] == pytest.approx(
@@ -427,7 +426,7 @@ class TestSignTable:
         assert by_id["Dk"]["crossings"] == 0
 
     def test_negative_window(self):
-        rows = sign_table(CFG2, LIP2, "negative", -10.0, -0.01, 2000)
+        rows = sign_table(CFG2, LIP2, "negative", -10.0, -0.01)
         by_id = {r["id"]: r for r in rows}
         assert by_id["A'1-1-endpoint"]["crossings"] == 0
         assert by_id["A'1-2"]["crossings"] == 1
@@ -439,6 +438,6 @@ class TestSignTable:
 
     def test_regime_mismatch(self):
         with pytest.raises(ValidationError):
-            sign_table(CFG1, LIP1, "positive", -1.0, 1.0, 100)
+            sign_table(CFG1, LIP1, "positive", -1.0, 1.0)
         with pytest.raises(ValidationError):
-            sign_table(CFG2, LIP2, "negative", -1.0, 1.0, 100)
+            sign_table(CFG2, LIP2, "negative", -1.0, 1.0)

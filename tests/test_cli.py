@@ -48,6 +48,28 @@ class TestCheck:
         assert main(["check", _ex1(problems_dir), "--k", "0"]) == 1
         assert "validation error" in capsys.readouterr().err
 
+    def test_non_finite_l2_exits_1(self, tmp_path, capsys):
+        # sqrt(x - 0.5) is NaN left of 0.5; the margins used to print as NaN
+        data = copy.deepcopy(EXAMPLE1)
+        data["lipschitz"]["L2"] = "sqrt(x-0.5)"
+        assert main(["check", _config_file(tmp_path, data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "L2 is not finite at x = 0.0" in captured.err
+
+    def test_undefined_a2_bound_exits_1(self, tmp_path, capsys):
+        # L2' = -0.5 makes L2^2 + 4(L1 + L2') negative on all of [0, 1]; the
+        # NaN A'2 term used to drop out of the bound and pass k = -2
+        data = copy.deepcopy(EXAMPLE2)
+        data["lipschitz"]["L2"] = "0.5*(1-x)"
+        cfg = _config_file(tmp_path, data)
+        assert main(["check", cfg, "--k", "-2"]) == 1
+        assert "A'2 is undefined" in capsys.readouterr().err
+        assert main(["scan-k", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at x = 0.0" in captured.err
+
     def test_artifact(self, problems_dir, tmp_path, capsys):
         out = tmp_path / "art"
         assert main(["check", _ex1(problems_dir), "--out", str(out)]) == 0

@@ -10,6 +10,7 @@ from mibvp.errors import DegenerateKernelError, ValidationError
 from mibvp.kernel import (PI2_OVER_4, BoundaryConfig, Regime, ShiftedOperator,
                           green_dx_sign_check, green_eval, kernel_functions,
                           normalization, normalization_value)
+from mibvp.linear_bvp import build_grid, get_solver
 
 CFG1 = BoundaryConfig(0.1, 0.2, 2.0, 3.0)
 CFG2 = BoundaryConfig(0.2, 0.3, 0.25, 1.0 / 9.0)
@@ -85,6 +86,10 @@ class TestNormalization:
             normalization(cfg, ShiftedOperator(1.0))
         with pytest.raises(DegenerateKernelError):
             green_eval(cfg, ShiftedOperator(1.0), 0.5, 0.5)
+        with pytest.raises(DegenerateKernelError):
+            kernel_functions(cfg, ShiftedOperator(1.0))
+        with pytest.raises(DegenerateKernelError):
+            get_solver(cfg, ShiftedOperator(1.0), build_grid(101, cfg.xi, cfg.eta))
 
     def test_tiny_shift_is_not_degenerate(self):
         # D = (k/sqrt|k|) W vanishes like sqrt|k| as k -> 0, but the divisor
@@ -105,7 +110,8 @@ class TestNormalization:
                                      (CFG1, ShiftedOperator(2.0)),
                                      (CFG2, ShiftedOperator(-50.0)),
                                      (CFG1, ShiftedOperator(-2.0)),
-                                     (CFG2, ShiftedOperator(0.49))])
+                                     (CFG2, ShiftedOperator(0.49)),
+                                     (CFG2, ShiftedOperator(-500.0))])
 class TestKernelStructure:
     def test_continuity_across_diagonal(self, cfg, op):
         # Richardson toward the diagonal from both sides
@@ -133,21 +139,20 @@ class TestKernelStructure:
             assert below == pytest.approx(above_branch, abs=1e-9)
 
     def test_derivative_jump_is_one(self, cfg, op):
-        # the one-sided derivatives at x = s differ by exactly +1
+        # the limit of dG/dx from above at x = s is one more than the value there
         fns = kernel_functions(cfg, op)
         for s in np.linspace(0.03, 0.97, 19):
-            d_below = fns.dvalue_dx(s, s, below=True)
-            d_above = fns.dvalue_dx(s, s, below=False)
-            assert float(d_above - d_below) == pytest.approx(1.0, abs=1e-11)
+            jump = fns.dvalue_dx(np.nextafter(s, 1.0), s) - fns.dvalue_dx(s, s)
+            assert float(jump) == pytest.approx(1.0, abs=1e-11)
 
     def test_boundary_identities(self, cfg, op):
         # G_x(0, s) = lambda1 G(xi, s) and G_x(1, s) = lambda2 G(eta, s)
         fns = kernel_functions(cfg, op)
         for s in np.linspace(0.01, 0.99, 23):
-            gx0 = float(fns.dvalue_dx(0.0, s, below=True))
+            gx0 = float(fns.dvalue_dx(0.0, s))
             assert gx0 == pytest.approx(cfg.lambda1 * float(fns.value(cfg.xi, s)),
                                         abs=1e-11)
-            gx1 = float(fns.dvalue_dx(1.0, s, below=False))
+            gx1 = float(fns.dvalue_dx(1.0, s))
             assert gx1 == pytest.approx(cfg.lambda2 * float(fns.value(cfg.eta, s)),
                                         abs=1e-11)
 
@@ -165,31 +170,29 @@ class TestKernelStructure:
         fns = kernel_functions(cfg, op)
         eps = 1e-6
         for x, s in [(0.15, 0.6), (0.8, 0.25), (0.4, 0.45), (0.05, 0.95)]:
-            below = x < s
             num = (fns.value(x + eps, s) - fns.value(x - eps, s)) / (2 * eps)
-            assert float(fns.dvalue_dx(x, s, below=below)) == pytest.approx(
-                float(num), abs=1e-6)
+            assert float(fns.dvalue_dx(x, s)) == pytest.approx(float(num), abs=1e-6)
 
 
-# G, dG/dx from below and dG/dx from above at one point inside each of the
-# six branches, from the earlier hand-written trigonometric and hyperbolic
-# kernels; one (x, s) per (s-region, side) pair
+# G and dG/dx at one point inside each of the six branches, from the
+# earlier hand-written trigonometric and hyperbolic kernels; one (x, s) per
+# (s-region, side) pair, the first of each pair below the diagonal
 BRANCH_PINS = [
     (CFG1, OP1, [
-        ((0.02, 0.05), 0.12773759445813918, 0.4212006719669677, 1.4209801800702233),
-        ((0.7, 0.05), 1.0170634217676224, 0.3334048574223067, 1.2316658856008678),
-        ((0.12, 0.15), 0.292265271690964, 0.5473450754316641, 1.5471245835349199),
-        ((0.5, 0.15), 0.834042390806854, 0.47431470316898783, 1.444452028141623),
-        ((0.3, 0.6), 0.5501368141106122, 0.7330666140307154, 1.7110975287548638),
-        ((0.9, 0.6), 1.227145947060347, 0.5123281921870935, 1.4903591069112418),
+        ((0.02, 0.05), 0.12773759445813918, 0.4212006719669677),
+        ((0.7, 0.05), 1.0170634217676224, 1.2316658856008678),
+        ((0.12, 0.15), 0.292265271690964, 0.5473450754316641),
+        ((0.5, 0.15), 0.834042390806854, 1.444452028141623),
+        ((0.3, 0.6), 0.5501368141106122, 0.7330666140307154),
+        ((0.9, 0.6), 1.227145947060347, 1.4903591069112418),
     ]),
     (CFG2, OP2, [
-        ((0.05, 0.1), -0.6204525712532224, -0.20278425268093436, 0.799716789159359),
-        ((0.6, 0.1), -0.39819665632537415, -1.020710568030798, 0.23988126849055846),
-        ((0.22, 0.25), -0.5586142537546892, -0.369602561232417, 0.6312975737756833),
-        ((0.8, 0.25), -0.38937600646178366, -1.224204057810984, 0.09385789174375765),
-        ((0.4, 0.7), -0.43612600357454806, -0.39608064545559096, 0.6952774806322659),
-        ((0.95, 0.7), -0.5600845586002183, -1.051655633535702, 0.01149812686806865),
+        ((0.05, 0.1), -0.6204525712532224, -0.20278425268093436),
+        ((0.6, 0.1), -0.39819665632537415, 0.23988126849055846),
+        ((0.22, 0.25), -0.5586142537546892, -0.369602561232417),
+        ((0.8, 0.25), -0.38937600646178366, 0.09385789174375765),
+        ((0.4, 0.7), -0.43612600357454806, -0.39608064545559096),
+        ((0.95, 0.7), -0.5600845586002183, 0.01149812686806865),
     ]),
 ]
 
@@ -197,10 +200,9 @@ BRANCH_PINS = [
 @pytest.mark.parametrize("cfg, op, pins", BRANCH_PINS)
 def test_branch_values_pinned(cfg, op, pins):
     fns = kernel_functions(cfg, op)
-    for (x, s), g, d_below, d_above in pins:
+    for (x, s), g, d in pins:
         assert float(fns.value(x, s)) == pytest.approx(g, rel=1e-13)
-        assert float(fns.dvalue_dx(x, s, below=True)) == pytest.approx(d_below, rel=1e-13)
-        assert float(fns.dvalue_dx(x, s, below=False)) == pytest.approx(d_above, rel=1e-13)
+        assert float(fns.dvalue_dx(x, s)) == pytest.approx(d, rel=1e-13)
 
 
 def test_kernel_continuous_across_regime_seam():
@@ -213,9 +215,7 @@ def test_kernel_continuous_across_regime_seam():
         neg = kernel_functions(cfg, ShiftedOperator(-1e-8))
         scale = np.max(np.abs(pos.value(X, S)))
         assert np.max(np.abs(pos.value(X, S) - neg.value(X, S))) <= 1e-6 * scale
-        for below in (True, False):
-            assert np.max(np.abs(pos.dvalue_dx(X, S, below=below)
-                                 - neg.dvalue_dx(X, S, below=below))) <= 1e-6 * scale
+        assert np.max(np.abs(pos.dvalue_dx(X, S) - neg.dvalue_dx(X, S))) <= 1e-6 * scale
 
 
 class TestSignCertificates:
@@ -271,9 +271,7 @@ class TestDxSignCheck:
             if lo <= s <= hi and x != s:
                 continue  # straddles the kink; slope is one-sided there
             num = (fns.value(hi, s) - fns.value(lo, s)) / (hi - lo)
-            below = x < s
-            assert float(fns.dvalue_dx(x, s, below=below)) == pytest.approx(
-                float(num), abs=1e-5)
+            assert float(fns.dvalue_dx(x, s)) == pytest.approx(float(num), abs=1e-5)
 
 
 class TestGreenEval:
@@ -307,13 +305,11 @@ class TestWeightedSlopeInvariants:
         G = fns.value(X, S)
         l2 = X * math.exp(0.2154) / 195.0
         off = X != S
+        Gx = fns.dvalue_dx(X, S)
         worst = -np.inf
-        for below in (True, False):
-            side = (X < S) if below else (X > S)
-            Gx = fns.dvalue_dx(X, S, below=below)
-            for sign in (1.0, -1.0):
-                vals = (l1 - k) * G + sign * l2 * Gx
-                worst = max(worst, float(np.max(np.where(off & side, vals, -np.inf))))
+        for sign in (1.0, -1.0):
+            vals = (l1 - k) * G + sign * l2 * Gx
+            worst = max(worst, float(np.max(np.where(off, vals, -np.inf))))
         assert worst <= 1e-10
 
     def test_negative_combination_nonnegative(self):
@@ -327,13 +323,11 @@ class TestWeightedSlopeInvariants:
         G = fns.value(X, S)
         l2 = 2 * 5.868826 * (np.exp(X) - 1.0) / 40.0
         off = X != S
+        Gx = fns.dvalue_dx(X, S)
         worst = np.inf
-        for below in (True, False):
-            side = (X < S) if below else (X > S)
-            Gx = fns.dvalue_dx(X, S, below=below)
-            for sign in (1.0, -1.0):
-                vals = (l1 + k) * G + sign * l2 * Gx
-                worst = min(worst, float(np.min(np.where(off & side, vals, np.inf))))
+        for sign in (1.0, -1.0):
+            vals = (l1 + k) * G + sign * l2 * Gx
+            worst = min(worst, float(np.min(np.where(off, vals, np.inf))))
         assert worst >= -1e-10
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mibvp.errors import ValidationError
-from mibvp.kernel import BoundaryConfig, ShiftedOperator
+from mibvp.kernel import BoundaryConfig, ShiftedOperator, kernel_functions
 from mibvp.linear_bvp import (GridFunction, boundary_residuals, build_grid, get_solver,
                               node_index)
 from mibvp.monotone import NonlinearProblem, run
@@ -238,6 +238,39 @@ class TestSolveLinear:
         del solver
         gc.collect()
         assert ref() is None
+
+
+def _panel_loop_derivative_matrix(config, op, xs):
+    # Simpson panel by panel, with dG/dx(x_i, .) sampled on the side of the
+    # diagonal the panel lies on: a panel ending on x_i takes the limit from
+    # above there (x one ulp past s, which exists at x = 1 too), every other
+    # sample is off the diagonal or starts a panel right of x_i
+    fns = kernel_functions(config, op)
+    n = xs.size
+    Q = np.zeros((n, n))
+    for i, x in enumerate(xs):
+        for j in range(n - 1):
+            a, b = xs[j], xs[j + 1]
+            fa = float(fns.dvalue_dx(x, a))
+            fm = float(fns.dvalue_dx(x, 0.5 * (a + b)))
+            if b == x:
+                fb = float(fns.dvalue_dx(np.nextafter(x, np.inf), x))
+            else:
+                fb = float(fns.dvalue_dx(x, b))
+            Q[i, j] += (b - a) / 6.0 * (fa + 2.0 * fm)
+            Q[i, j + 1] += (b - a) / 6.0 * (fb + 2.0 * fm)
+    return Q
+
+
+@pytest.mark.parametrize("config, op", [
+    (CFG1, OP1), (CFG2, OP2),
+    (BoundaryConfig(0.123, 0.2, 2.0, 3.0), OP1),  # xi inserted between nodes
+])
+def test_derivative_matrix_matches_panel_loop(config, op):
+    xs = build_grid(21, config.xi, config.eta)
+    Qd = get_solver(config, op, xs).derivative_matrix
+    ref = _panel_loop_derivative_matrix(config, op, xs)
+    assert np.max(np.abs(Qd - ref)) <= 1e-13 * np.max(np.abs(Qd))
 
 
 @settings(max_examples=25, deadline=None)
