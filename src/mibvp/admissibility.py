@@ -20,20 +20,14 @@ from .expressions import Expression
 from .kernel import PI2_OVER_4, BoundaryConfig, Regime, ShiftedOperator, normalization_value
 
 SUP_SAMPLES = 2001
+# the x samples every sup over [0, 1] is taken on
+SUP_XS = np.linspace(0.0, 1.0, SUP_SAMPLES)
 SCAN_REFINE_TOL = 1e-4
 # x samples of the bracket box searched by the Lipschitz estimates and the
 # sampled Nagumo majorant
 BOX_SAMPLES = 121
 # k samples of a sign_table window
 SIGN_TABLE_SAMPLES = 2000
-
-
-def _as_profile(fn):
-    """Wrap an Expression in x (or a plain callable) as array -> array."""
-    if isinstance(fn, Expression):
-        return lambda xs: fn.sample(x=np.asarray(xs, float))
-    return lambda xs: np.broadcast_to(np.asarray(fn(np.asarray(xs, float)), float),
-                                      np.shape(xs)).copy()
 
 
 def _refined_extremum(vals, xs, sign=1.0):
@@ -55,15 +49,15 @@ def _refined_extremum(vals, xs, sign=1.0):
 class LipschitzData:
     """One-sided Lipschitz constant in u and the Lipschitz profile in u'.
 
-    l2_fn and l2prime_fn map node arrays to L2(x) and L2'(x) values.
+    l2 and l2prime hold L2(x) and L2'(x) sampled once on SUP_XS.
     notes holds sampled-invariant violations (nonzero at the origin,
     decreasing somewhere, negative somewhere) without rejecting the data;
     a non-finite L2 or L2' sample is rejected.
     """
 
     l1: float
-    l2_fn: object
-    l2prime_fn: object
+    l2: np.ndarray
+    l2prime: np.ndarray
     l2_sup: float
     l2prime_sup: float
     l2_text: str | None = None
@@ -80,30 +74,25 @@ class LipschitzData:
             raise ValidationError(
                 "L2 may only depend on x, found %s" % sorted(extra)
             )
-        l2_fn = _as_profile(l2_expr)
-        l2p_fn = _as_profile(l2_expr.diff("x"))
-        return cls._build(l1, l2_fn, l2p_fn, l2_text=l2_expr.text)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            vals = l2_expr.sample(x=SUP_XS)
+            dvals = l2_expr.diff("x").sample(x=SUP_XS)
+        return cls._build(l1, vals, dvals, l2_text=l2_expr.text)
 
     @classmethod
     def from_callable(cls, l1: float, l2_callable) -> "LipschitzData":
-        l2_fn = _as_profile(l2_callable)
-
-        def l2p_fn(xs):
-            xs = np.asarray(xs, float)
-            return np.gradient(l2_fn(xs), xs)
-
-        return cls._build(l1, l2_fn, l2p_fn, l2_text=None)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            vals = np.broadcast_to(np.asarray(l2_callable(SUP_XS), float),
+                                   SUP_XS.shape).copy()
+            dvals = np.gradient(vals, SUP_XS)
+        return cls._build(l1, vals, dvals, l2_text=None)
 
     @classmethod
-    def _build(cls, l1, l2_fn, l2p_fn, l2_text):
-        xs = np.linspace(0.0, 1.0, SUP_SAMPLES)
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            vals = l2_fn(xs)
-            dvals = l2p_fn(xs)
+    def _build(cls, l1, vals, dvals, l2_text):
         for name, v in (("L2", vals), ("L2'", dvals)):
             if not np.all(np.isfinite(v)):
                 raise ValidationError("%s is not finite at x = %r"
-                                      % (name, float(xs[np.argmin(np.isfinite(v))])))
+                                      % (name, float(SUP_XS[np.argmin(np.isfinite(v))])))
         notes = []
         if abs(vals[0]) > 1e-9:
             notes.append("L2(0) is not zero (%.3e)" % vals[0])
@@ -113,10 +102,10 @@ class LipschitzData:
             notes.append("L2 is not nondecreasing")
         return cls(
             l1=float(l1),
-            l2_fn=l2_fn,
-            l2prime_fn=l2p_fn,
-            l2_sup=_refined_extremum(vals, xs),
-            l2prime_sup=_refined_extremum(dvals, xs),
+            l2=vals,
+            l2prime=dvals,
+            l2_sup=_refined_extremum(vals, SUP_XS),
+            l2prime_sup=_refined_extremum(dvals, SUP_XS),
             l2_text=l2_text,
             notes=tuple(notes),
         )
@@ -124,13 +113,12 @@ class LipschitzData:
 
 @dataclass
 class NagumoData:
-    """Derivative bound data: majorant phi, gamma, diameter, and P.
+    """Derivative bound data: gamma, diameter, and P.
 
     success False means the improper integral of s/phi could not reach the
     bracket diameter; tail then carries that integral's value and P is None.
     """
 
-    phi: object
     gamma: float
     P: float | None
     diameter: float
@@ -210,8 +198,7 @@ def check_positive_k(config: BoundaryConfig, k: float, lip: LipschitzData) -> Ad
     D = normalization_value(config, ShiftedOperator(k))
     v2 = _KERNEL_SIGN["A1-2"](config, r)
     v3 = _KERNEL_SIGN["A1-3"](config, r)
-    xs = np.linspace(0.0, 1.0, SUP_SAMPLES)
-    sup_a = _refined_extremum(_l34a_slope(lip.l1, lip.l2_fn(xs), k, r), xs)
+    sup_a = _refined_extremum(_l34a_slope(lip.l1, lip.l2, k, r), SUP_XS)
     val_b = (lip.l1 - k) + lip.l2prime_sup
     conditions = [
         Condition("Dk>0", D > 0, D),
@@ -250,18 +237,16 @@ def check_negative_k(config: BoundaryConfig, k: float, lip: LipschitzData) -> Ad
     q2 = _KERNEL_SIGN["A'1-2"](config, t)
     v3 = _KERNEL_SIGN["A'1-3"](config, t)
     D = normalization_value(config, ShiftedOperator(k))
-    xs = np.linspace(0.0, 1.0, SUP_SAMPLES)
-    l2v = lip.l2_fn(xs)
-    l2pv = lip.l2prime_fn(xs)
-    sup_slope = _refined_extremum(l2pv + l2v * t, xs)
+    l2v, l2pv = lip.l2, lip.l2prime
+    sup_slope = _refined_extremum(l2pv + l2v * t, SUP_XS)
     val_55a = (lip.l1 + k) + sup_slope
     disc = l2v ** 2 + 4 * (lip.l1 + l2pv)
     if np.any(disc < 0):
         raise ValidationError(
             "A'2 is undefined: L2^2 + 4(L1 + L2') < 0 at x = %r"
-            % float(xs[np.argmax(disc < 0)]))
+            % float(SUP_XS[np.argmax(disc < 0)]))
     comb = lip.l1 + l2pv + 0.5 * l2v ** 2 + 0.5 * l2v * np.sqrt(disc)
-    sup4 = _refined_extremum(comb, xs)
+    sup4 = _refined_extremum(comb, SUP_XS)
     components = {
         "neg_l1": -lip.l1,
         "neg_lambda1_sq": -l1b ** 2,
@@ -285,6 +270,16 @@ def check_negative_k(config: BoundaryConfig, k: float, lip: LipschitzData) -> Ad
     )
 
 
+def check_k(config: BoundaryConfig, k: float, lip: LipschitzData) -> AdmissibilityReport:
+    """Certify k with the check of its regime.
+
+    That is check_positive_k for k > 0, otherwise check_negative_k, which
+    rejects k = 0. Both are looked up at call time, so a rebinding is seen.
+    """
+    checker = check_positive_k if k > 0 else check_negative_k
+    return checker(config, k, lip)
+
+
 def _regime_for_range(regime, k_lo: float, k_hi: float) -> Regime:
     """The Regime named by regime; a k range outside it raises ValidationError."""
     try:
@@ -305,15 +300,14 @@ def scan_k(config: BoundaryConfig, lip: LipschitzData, regime, k_lo: float,
     Returns a list of (lo, hi) pairs, the maximal admissible subintervals of
     [k_lo, k_hi] sampled at `steps` points and refined to 1e-4 in k.
     """
-    regime = _regime_for_range(regime, k_lo, k_hi)
+    _regime_for_range(regime, k_lo, k_hi)
     if not (k_lo < k_hi):
         raise ValidationError("empty scan range: k_lo=%r k_hi=%r" % (k_lo, k_hi))
     if steps < 2:
         raise ValidationError("scan needs at least 2 steps, got %r" % steps)
-    checker = check_positive_k if regime is Regime.POSITIVE_K else check_negative_k
 
     def admissible(k):
-        return checker(config, k, lip).admissible
+        return check_k(config, k, lip).admissible
 
     ks = np.linspace(k_lo, k_hi, int(steps))
     flags = np.array([admissible(k) for k in ks])
@@ -351,26 +345,38 @@ def _bracket_box(problem, n):
     return xs, problem.lower0.sample(x=xs), problem.upper0.sample(x=xs)
 
 
-def _lipschitz_box(problem, nx, nu):
-    """Sample points of the box the Lipschitz estimates search.
-
-    Returns xs (nx,), U (nx, nu, 1) spanning [min, max] of c0 and d0 at
-    each x in nu steps, and the half-width W of the |u'| range: the Nagumo
-    P when one was found, otherwise the crude derivative-range fallback
-    2 sup|c0', d0'| + 1.
-    """
-    xs, c0, d0 = _bracket_box(problem, nx)
+def _u_box(problem, nu):
+    """xs (BOX_SAMPLES,) and U (BOX_SAMPLES, nu): nu values of u spanning
+    [min, max] of c0 and d0 at each x, the box the psi estimates search."""
+    xs, c0, d0 = _bracket_box(problem, BOX_SAMPLES)
     lo = np.minimum(c0, d0)
     hi = np.maximum(c0, d0)
-    frac = np.linspace(0.0, 1.0, nu)
-    U = lo[:, None, None] + (hi - lo)[:, None, None] * frac[None, :, None]
+    return xs, lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, nu)[None, :]
+
+
+def _psi_partial(problem, xs, U, wrt):
+    """Central-difference d psi/d wrt (wrt "u" or "up") over xs x U x 41 slopes.
+
+    The slopes span [-W, W]: W is the Nagumo P when one was found,
+    otherwise the crude derivative-range fallback 2 sup|c0', d0'| + 1.
+    A non-finite sample raises NumericalError.
+    """
     nag = getattr(problem, "nagumo", None)
     if nag is not None and nag.success:
         W = nag.P
     else:
         W = 2.0 * float(max(np.max(np.abs(problem.lower0.diff("x").sample(x=xs))),
                             np.max(np.abs(problem.upper0.diff("x").sample(x=xs))))) + 1.0
-    return xs, U, W
+    at = {"x": xs[:, None, None], "u": U[:, :, None],
+          "up": np.linspace(-W, W, 41)[None, None, :]}
+    e = 1e-5 * np.maximum(1.0, np.abs(at[wrt]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        plus = problem.psi.sample(**{**at, wrt: at[wrt] + e})
+        minus = problem.psi.sample(**{**at, wrt: at[wrt] - e})
+        d = (plus - minus) / (2 * e)
+    if not np.all(np.isfinite(d)):
+        raise NumericalError("non-finite psi samples in the Lipschitz box")
+    return d
 
 
 def estimate_l1(problem) -> float:
@@ -382,16 +388,8 @@ def estimate_l1(problem) -> float:
     positive part for the reverse ordering and the negative-part magnitude
     for the well ordering.
     """
-    xs, U, W = _lipschitz_box(problem, BOX_SAMPLES, BOX_SAMPLES)
-    X = xs[:, None, None]
-    up = np.linspace(-W, W, 41)[None, None, :]
-    e = 1e-5 * np.maximum(1.0, np.abs(U))
-    with np.errstate(over="ignore", invalid="ignore"):
-        plus = problem.psi.sample(x=X, u=U + e, up=up)
-        minus = problem.psi.sample(x=X, u=U - e, up=up)
-        d = (plus - minus) / (2 * e)
-    if not np.all(np.isfinite(d)):
-        raise NumericalError("non-finite psi samples in the Lipschitz box")
+    xs, U = _u_box(problem, BOX_SAMPLES)
+    d = _psi_partial(problem, xs, U, "u")
     if problem.ordering == "reverse":
         return float(max(np.max(d), 0.0))
     return float(max(np.max(-d), 0.0))
@@ -406,22 +404,10 @@ def estimate_lipschitz(problem) -> LipschitzData:
     stand-in.
     """
     l1 = estimate_l1(problem)
-    xs, U, W = _lipschitz_box(problem, BOX_SAMPLES, 41)
-    X = xs[:, None, None]
-    up = np.linspace(-W, W, 41)[None, None, :]
-    e = 1e-5 * np.maximum(1.0, np.abs(up))
-    with np.errstate(over="ignore", invalid="ignore"):
-        plus = problem.psi.sample(x=X, u=U, up=up + e)
-        minus = problem.psi.sample(x=X, u=U, up=up - e)
-        d = np.abs((plus - minus) / (2 * e))
-    if not np.all(np.isfinite(d)):
-        raise NumericalError("non-finite psi samples in the Lipschitz box")
+    xs, U = _u_box(problem, 41)
+    d = np.abs(_psi_partial(problem, xs, U, "up"))
     profile = np.maximum.accumulate(d.max(axis=(1, 2)))
-
-    def l2_fn(pts):
-        return np.interp(np.asarray(pts, float), xs, profile)
-
-    return LipschitzData.from_callable(l1, l2_fn)
+    return LipschitzData.from_callable(l1, lambda pts: np.interp(pts, xs, profile))
 
 
 def nagumo_bound(problem) -> NagumoData:
@@ -463,11 +449,13 @@ def nagumo_bound(problem) -> NagumoData:
 
         phi_text = expr.text
     else:
-        phi_fn = phi_spec
+        raise ValidationError("phi must be \"auto\" or an expression in s, got %r"
+                              % (phi_spec,))
 
-    probe = phi_fn(np.linspace(0.0, gamma + 10.0 * (diameter + 1.0), 257))
-    if np.min(probe) <= 0:
-        raise ValidationError("phi must be positive on its sampling range")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        probe = phi_fn(np.linspace(0.0, gamma + 10.0 * (diameter + 1.0), 257))
+    if not np.all(probe > 0):
+        raise ValidationError("phi must be defined and positive on its sampling range")
 
     def integrand(s):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -492,7 +480,7 @@ def nagumo_bound(problem) -> NagumoData:
     # a confident error estimate
     if np.isfinite(tail) and tail < diameter and terr < max(1e-8, 0.01 * (diameter - tail)):
         if tail >= max(0.0, accumulated(gamma + 1.0)) - 1e-9:
-            return NagumoData(phi=phi_fn, gamma=gamma, P=None, diameter=diameter,
+            return NagumoData(gamma=gamma, P=None, diameter=diameter,
                               success=False, tail=float(tail), phi_text=phi_text)
 
     hi = gamma + 1.0
@@ -501,12 +489,12 @@ def nagumo_bound(problem) -> NagumoData:
         hi *= 2.0
         if hi > cap:
             reached = accumulated(cap)
-            return NagumoData(phi=phi_fn, gamma=gamma, P=None, diameter=diameter,
+            return NagumoData(gamma=gamma, P=None, diameter=diameter,
                               success=False, tail=float(reached), phi_text=phi_text)
     P = brentq(lambda p: accumulated(p) - diameter, gamma, hi, xtol=1e-10)
     # keep the improper integral only when the quadrature actually resolved it
     reliable = np.isfinite(tail) and np.isfinite(terr) and terr < 0.01 * max(abs(tail), 1.0)
-    return NagumoData(phi=phi_fn, gamma=gamma, P=float(P), diameter=diameter,
+    return NagumoData(gamma=gamma, P=float(P), diameter=diameter,
                       success=True, tail=float(tail) if reliable else None,
                       phi_text=phi_text)
 
@@ -517,11 +505,7 @@ def _auto_majorant(problem, gamma, diameter):
     Coarse by construction (nondecreasing envelope, constant beyond the
     sampling cap); prefer an explicit phi when certifying results.
     """
-    xs, c0, d0 = _bracket_box(problem, BOX_SAMPLES)
-    lo = np.minimum(c0, d0)
-    hi = np.maximum(c0, d0)
-    frac = np.linspace(0.0, 1.0, 41)
-    U = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
+    xs, U = _u_box(problem, 41)
     s_cap = 10.0 * (gamma + diameter + 1.0)
     sgrid = np.linspace(0.0, s_cap, 241)
     vals = np.empty_like(sgrid)

@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from ._version import __version__
-from .admissibility import check_negative_k, check_positive_k, scan_k
+from .admissibility import check_k, scan_k
 from .errors import NumericalError, ValidationError
 from .kernel import Regime, ShiftedOperator, kernel_functions
 from .linear_bvp import GridFunction, build_grid, get_solver
@@ -76,10 +76,6 @@ def _pick_k(config: ProblemConfig, override):
     return config.scalar_k()
 
 
-def _checker_for(k: float):
-    return check_positive_k if k > 0 else check_negative_k
-
-
 def _lip_summary(lip):
     return {
         "L1": lip.l1,
@@ -94,7 +90,7 @@ def cmd_check(args):
     config = ProblemConfig.load(args.config)
     problem = build_problem(config)
     k = _pick_k(config, args.k)
-    report = _checker_for(k)(config.boundary_config, k, problem.lip)
+    report = check_k(config.boundary_config, k, problem.lip)
     payload = report.to_dict()
     payload["lipschitz"] = _lip_summary(problem.lip)
     text = _json_text(payload)
@@ -121,7 +117,7 @@ def cmd_scan_k(args):
     if args.out:
         rows = []
         for k in np.linspace(lo, hi, steps).tolist():
-            report = _checker_for(k)(config.boundary_config, k, problem.lip)
+            report = check_k(config.boundary_config, k, problem.lip)
             for cond in report.conditions:
                 rows.append((k, cond.cid, float(cond.margin),
                              "true" if cond.ok else "false"))

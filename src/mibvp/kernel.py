@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -169,9 +168,8 @@ class KernelFunctions:
         self.boundary_term_dx = boundary_term_dx
 
 
-@lru_cache(maxsize=16)
 def kernel_functions(config: BoundaryConfig, op: ShiftedOperator) -> KernelFunctions:
-    """Build (and cache) the kernel closures for a (config, operator) pair."""
+    """Build the kernel closures for a (config, operator) pair."""
     return KernelFunctions(config, op)
 
 

@@ -193,8 +193,8 @@ def run(problem: NonlinearProblem, k: float, max_iter: int, tol: float,
     """
     if max_iter < 1:
         raise ValidationError("max_iter must be at least 1, got %r" % max_iter)
-    if not (tol > 0):
-        raise ValidationError("tol must be positive, got %r" % tol)
+    if not 0 < tol < np.inf:
+        raise ValidationError("tol must be positive and finite, got %r" % tol)
     nodes = build_grid(grid_n, problem.config.xi, problem.config.eta)
     solver = get_solver(problem.config, ShiftedOperator(k), nodes)
     (c, dc), (d, dd) = problem.initial_lower(nodes), problem.initial_upper(nodes)

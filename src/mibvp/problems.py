@@ -117,8 +117,8 @@ class ProblemConfig:
         if grid_n < 5:
             raise ValidationError("grid_n must be at least 5")
         tol = float(_require(data, "tol", (int, float), "config"))
-        if not tol > 0:
-            raise ValidationError("tol must be positive")
+        if not 0 < tol < float("inf"):
+            raise ValidationError("tol must be positive and finite")
         max_iter = _require(data, "max_iter", int, "config")
         if max_iter < 1:
             raise ValidationError("max_iter must be at least 1")

@@ -213,7 +213,7 @@ class TestEndpointSlopeExtension:
         r = math.sqrt(k)
         assert check_positive_k(CFG1, k, LIP1).condition("L34a").ok
         xs = np.linspace(0.0, 1.0, 2001)
-        y1 = (LIP1.l1 - k) * np.cos(r * xs) + LIP1.l2_fn(xs) * r * np.sin(r * xs)
+        y1 = (LIP1.l1 - k) * np.cos(r * xs) + LIP1.l2 * r * np.sin(r * xs)
         assert float(np.max(y1)) <= 1e-12
 
     def test_sine_form(self):
@@ -221,7 +221,7 @@ class TestEndpointSlopeExtension:
         r = math.sqrt(k)
         assert check_positive_k(CFG1, k, LIP1).condition("L34b").ok
         xs = np.linspace(0.0, 1.0, 2001)
-        y2 = (LIP1.l1 - k) * np.sin(r * xs) + LIP1.l2_fn(xs) * r * np.cos(r * xs)
+        y2 = (LIP1.l1 - k) * np.sin(r * xs) + LIP1.l2 * r * np.cos(r * xs)
         assert float(np.max(y2)) <= 1e-12
 
 
@@ -263,8 +263,7 @@ class TestEstimateLipschitz:
         lip = estimate_lipschitz(ex1_problem)
         assert lip.l1 == pytest.approx(0.4733124403791914, rel=1e-6)
         assert lip.l2_sup > 0
-        xs = np.linspace(0.0, 1.0, 101)
-        vals = lip.l2_fn(xs)
+        vals = lip.l2
         assert np.all(np.diff(vals) >= -1e-12)
         assert np.all(vals >= 0)
 
@@ -279,7 +278,7 @@ class TestEstimateLipschitz:
             ordering="reverse",
         )
         lip = estimate_lipschitz(problem)
-        assert float(lip.l2_fn(1.0)) == pytest.approx(0.6, rel=1e-9)
+        assert float(lip.l2[-1]) == pytest.approx(0.6, rel=1e-9)
 
 
 class TestConstantBracket:
@@ -306,15 +305,13 @@ class TestConstantBracket:
         problem = self._problem()
         problem.nagumo = nagumo_bound(problem)
         lip = estimate_lipschitz(problem)
-        xs = np.linspace(0.0, 1.0, 11)
-        assert np.allclose(lip.l2_fn(xs), 0.2 * problem.nagumo.P, rtol=1e-9, atol=0)
+        assert np.allclose(lip.l2, 0.2 * problem.nagumo.P, rtol=1e-9, atol=0)
         assert lip.l1 == 0.0
 
     def test_l2_with_fallback_box(self):
         # c0' = d0' = 0, so |u'| <= 1 and L2 = 2 * 1 / 10
         lip = estimate_lipschitz(self._problem())
-        xs = np.linspace(0.0, 1.0, 11)
-        assert np.allclose(lip.l2_fn(xs), 0.2, rtol=1e-9, atol=0)
+        assert np.allclose(lip.l2, 0.2, rtol=1e-9, atol=0)
 
 
 class TestNagumoBound:
@@ -355,14 +352,16 @@ class TestNagumoBound:
         # (P^2 - gamma^2) / (2 M) = diameter with M = 2
         assert (nag.P ** 2 - 16.0) / 4.0 == pytest.approx(4.0, abs=1e-7)
 
-    def test_nonpositive_majorant_rejected(self):
+    # ln(s - 10) is undefined (NaN) on [0, 10) and negative on (10, 11)
+    @pytest.mark.parametrize("phi", ["s - 100", "ln(s - 10)"])
+    def test_nonpositive_majorant_rejected(self, phi):
         problem = NonlinearProblem(
             psi=parse_expression("u/10"),
             config=CFG1,
             lower0=parse_expression("1 + x"),
             upper0=parse_expression("-1 - x"),
             ordering="reverse",
-            nagumo_phi=parse_expression("s - 100"),
+            nagumo_phi=parse_expression(phi),
         )
         with pytest.raises(ValidationError):
             nagumo_bound(problem)
@@ -375,6 +374,19 @@ class TestNagumoBound:
             upper0=parse_expression("-1 - x"),
             ordering="reverse",
             nagumo_phi=parse_expression("1 + x"),
+        )
+        with pytest.raises(ValidationError):
+            nagumo_bound(problem)
+
+    def test_callable_majorant_rejected(self):
+        # phi is "auto" or an expression in s; a bare callable is not a spec
+        problem = NonlinearProblem(
+            psi=parse_expression("u/10"),
+            config=CFG1,
+            lower0=parse_expression("1 + x"),
+            upper0=parse_expression("-1 - x"),
+            ordering="reverse",
+            nagumo_phi=lambda s: 2.0 + 0.0 * s,
         )
         with pytest.raises(ValidationError):
             nagumo_bound(problem)

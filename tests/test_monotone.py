@@ -241,6 +241,8 @@ class TestRunControl:
             run(ex1_problem, 0.49, max_iter=10, tol=0.0)
         with pytest.raises(ValidationError):
             run(ex1_problem, 0.49, max_iter=10, tol=-1e-8)
+        with pytest.raises(ValidationError):
+            run(ex1_problem, 0.49, max_iter=10, tol=float("inf"))
 
 
 class TestTraceInvariants:

@@ -73,6 +73,7 @@ BAD_CONFIGS = [
     ("grid wrong type", _corrupt(EXAMPLE1, ["grid_n"], 501.0)),
     ("tol zero", _corrupt(EXAMPLE1, ["tol"], 0.0)),
     ("tol negative", _corrupt(EXAMPLE1, ["tol"], -1e-8)),
+    ("tol infinite", _corrupt(EXAMPLE1, ["tol"], float("inf"))),
     ("max_iter zero", _corrupt(EXAMPLE1, ["max_iter"], 0)),
     ("lipschitz wrong type", _corrupt(EXAMPLE1, ["lipschitz"], [1, "x"])),
     ("lipschitz unknown key", _corrupt(EXAMPLE1, ["lipschitz", "L3"], "x")),
