@@ -45,7 +45,7 @@ def _refined_extremum(vals, xs, sign=1.0):
     return float(sign * best)
 
 
-@dataclass
+@dataclass(eq=False)
 class LipschitzData:
     """One-sided Lipschitz constant in u and the Lipschitz profile in u'.
 
