@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import NumericalError, ValidationError
-from .expressions import Expression
+from .expressions import Expression, require_variables
 from .kernel import PI2_OVER_4, BoundaryConfig, Regime, ShiftedOperator, normalization_value
 
 SUP_SAMPLES = 2001
@@ -69,11 +69,7 @@ class LipschitzData:
 
     @classmethod
     def from_expression(cls, l1: float, l2_expr: Expression) -> "LipschitzData":
-        extra = set(l2_expr.variables) - {"x"}
-        if extra:
-            raise ValidationError(
-                "L2 may only depend on x, found %s" % sorted(extra)
-            )
+        require_variables(l2_expr, {"x"}, "L2")
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             vals = l2_expr.sample(x=SUP_XS)
             dvals = l2_expr.diff("x").sample(x=SUP_XS)
@@ -231,12 +227,13 @@ def check_negative_k(config: BoundaryConfig, k: float, lip: LipschitzData) -> Ad
     """
     if k >= 0:
         raise ValidationError("k out of regime: negative checks need k < 0, got %r" % k)
+    op = ShiftedOperator(k)  # rejects a non-finite k before any margin is computed
     t = float(np.sqrt(-k))
     l1b, l2b = config.lambda1, config.lambda2
     v1 = t * np.sinh(t) - l2b * np.cosh(t * config.eta)
     q2 = _KERNEL_SIGN["A'1-2"](config, t)
     v3 = _KERNEL_SIGN["A'1-3"](config, t)
-    D = normalization_value(config, ShiftedOperator(k))
+    D = normalization_value(config, op)
     l2v, l2pv = lip.l2, lip.l2prime
     sup_slope = _refined_extremum(l2pv + l2v * t, SUP_XS)
     val_55a = (lip.l1 + k) + sup_slope
@@ -438,10 +435,7 @@ def nagumo_bound(problem) -> NagumoData:
         phi_fn = _auto_majorant(problem, gamma, diameter)
         phi_text = "auto"
     elif isinstance(phi_spec, Expression):
-        expr = phi_spec
-        extra = set(expr.variables) - {"s"}
-        if extra:
-            raise ValidationError("phi may only depend on s, found %s" % sorted(extra))
+        expr = require_variables(phi_spec, {"s"}, "phi")
 
         def phi_fn(s):
             with np.errstate(over="ignore"):

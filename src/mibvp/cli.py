@@ -69,11 +69,7 @@ def _write_meta(out_dir, args, started):
 
 
 def _pick_k(config: ProblemConfig, override):
-    if override is not None:
-        if override == 0.0:
-            raise ValidationError("k = 0 is outside both regimes")
-        return float(override)
-    return config.scalar_k()
+    return config.scalar_k() if override is None else override
 
 
 def _lip_summary(lip):
@@ -201,10 +197,11 @@ def cmd_oracle_compare(args):
     problem = build_problem(config)
     k = _pick_k(config, args.k)
     grid_n = args.grid_n if args.grid_n is not None else config.grid_n
-    nodes = build_grid(grid_n, config.xi, config.eta)
+    boundary = config.boundary_config
+    nodes = build_grid(grid_n, boundary.xi, boundary.eta)
 
-    u_quad, _ = get_solver(config.boundary_config, ShiftedOperator(k), nodes).solve(1.0 + nodes)
-    u_fd = fd_linear(config.boundary_config, k, GridFunction(nodes, 1.0 + nodes), 0.0)
+    u_quad, _ = get_solver(boundary, ShiftedOperator(k), nodes).solve(1.0 + nodes)
+    u_fd = fd_linear(boundary, k, GridFunction(nodes, 1.0 + nodes), 0.0)
     diff_linear = float(np.max(np.abs(u_quad - u_fd.values)))
 
     trace = run_iteration(problem, k, max_iter=config.max_iter,

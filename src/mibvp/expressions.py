@@ -19,7 +19,7 @@ import re
 
 import numpy as np
 
-from .errors import ExpressionError
+from .errors import ExpressionError, ValidationError
 
 FUNCTIONS = {
     "exp": np.exp,
@@ -335,9 +335,6 @@ class Expression:
         _collect_vars(ast, names)
         self.variables = frozenset(names)
 
-    def __call__(self, **env):
-        return self.evaluate(**env)
-
     def evaluate(self, **env):
         return _eval(self.ast, env)
 
@@ -365,6 +362,15 @@ class Expression:
 
     def __repr__(self):
         return "Expression(%r)" % self.text
+
+
+def require_variables(expr: Expression, allowed, label: str) -> Expression:
+    """Return expr, or raise ValidationError if it uses a variable outside allowed."""
+    extra = set(expr.variables) - set(allowed)
+    if extra:
+        raise ValidationError("%s may only use %s, found %s"
+                              % (label, ", ".join(sorted(allowed)), sorted(extra)))
+    return expr
 
 
 def parse_expression(text: str) -> Expression:

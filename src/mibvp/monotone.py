@@ -13,13 +13,16 @@ import numpy as np
 
 from .admissibility import Condition, LipschitzData, NagumoData
 from .errors import DivergenceError, NumericalError, ValidationError
-from .expressions import Expression
+from .expressions import Expression, require_variables
 from .kernel import BoundaryConfig, ShiftedOperator
 from .linear_bvp import (GridFunction, boundary_residuals, build_grid, get_solver,
                          node_index)
 from .oracle import fd_weights
 
-ORDERINGS = ("reverse", "well")
+# the sign the shift k must have for each bracket ordering: a reverse-ordered
+# bracket goes with 0 < k < pi^2/4, a well-ordered one with k < 0
+SHIFT_SIGN = {"reverse": 1.0, "well": -1.0}
+ORDERINGS = tuple(SHIFT_SIGN)
 MONOTONE_SLACK = 1e-9
 DIVERGENCE_FACTOR = 10.0
 DERIVATIVE_SLACK = 1e-6
@@ -48,14 +51,9 @@ class NonlinearProblem:
         if self.ordering not in ORDERINGS:
             raise ValidationError("ordering must be one of %s, got %r"
                                   % (ORDERINGS, self.ordering))
-        extra = set(self.psi.variables) - {"x", "u", "up"}
-        if extra:
-            raise ValidationError("psi may depend on x, u, up only; found %s" % sorted(extra))
-        for label, expr in (("lower0", self.lower0), ("upper0", self.upper0)):
-            bad = set(expr.variables) - {"x"}
-            if bad:
-                raise ValidationError("%s must be a closed form in x, found %s"
-                                      % (label, sorted(bad)))
+        require_variables(self.psi, {"x", "u", "up"}, "psi")
+        require_variables(self.lower0, {"x"}, "lower0")
+        require_variables(self.upper0, {"x"}, "upper0")
 
     def initial_lower(self, nodes):
         return self.lower0.sample(x=nodes), self.lower0.diff("x").sample(x=nodes)
@@ -119,27 +117,28 @@ class IterationTrace:
         getattr(self, name + "_upper").append(pair[1])
 
     def to_dict(self):
+        """The record as JSON-ready data; run stores Python floats and bools only."""
         return {
             "k": self.k,
             "iterations": self.iterations,
-            "converged": bool(self.converged),
-            "diverged": bool(self.diverged),
-            "grid_n": int(self.nodes.size),
-            "gaps": [float(g) for g in self.gaps],
-            "step_moves_lower": [float(v) for v in self.step_moves_lower],
-            "step_moves_upper": [float(v) for v in self.step_moves_upper],
-            "monotone_lower": [bool(b) for b in self.monotone_lower],
-            "monotone_upper": [bool(b) for b in self.monotone_upper],
-            "ordered": [bool(b) for b in self.ordered],
+            "converged": self.converged,
+            "diverged": self.diverged,
+            "grid_n": self.nodes.size,
+            "gaps": list(self.gaps),
+            "step_moves_lower": list(self.step_moves_lower),
+            "step_moves_upper": list(self.step_moves_upper),
+            "monotone_lower": list(self.monotone_lower),
+            "monotone_upper": list(self.monotone_upper),
+            "ordered": list(self.ordered),
             "derivative_bound_lower": (None if self.derivative_bound_lower is None
-                                       else [bool(b) for b in self.derivative_bound_lower]),
+                                       else list(self.derivative_bound_lower)),
             "derivative_bound_upper": (None if self.derivative_bound_upper is None
-                                       else [bool(b) for b in self.derivative_bound_upper]),
-            "final_residual": float(self.final_residual),
-            "residual_lower": float(self.residual_lower),
-            "residual_upper": float(self.residual_upper),
-            "boundary_residual_lower": [float(v) for v in self.boundary_residual_lower],
-            "boundary_residual_upper": [float(v) for v in self.boundary_residual_upper],
+                                       else list(self.derivative_bound_upper)),
+            "final_residual": self.final_residual,
+            "residual_lower": self.residual_lower,
+            "residual_upper": self.residual_upper,
+            "boundary_residual_lower": list(self.boundary_residual_lower),
+            "boundary_residual_upper": list(self.boundary_residual_upper),
         }
 
 
@@ -179,6 +178,13 @@ def _interior_residual(problem, k, nodes, u, du):
     return float(np.max(np.abs(res)))
 
 
+def require_shift_sign(ordering: str, k: float) -> None:
+    """Raise ValidationError unless k has the sign SHIFT_SIGN gives the ordering."""
+    if not SHIFT_SIGN[ordering] * k > 0:
+        raise ValidationError("a %s-ordered bracket needs k %s 0, got %r"
+                              % (ordering, ">" if SHIFT_SIGN[ordering] > 0 else "<", k))
+
+
 def run(problem: NonlinearProblem, k: float, max_iter: int, tol: float,
         grid_n: int = 501) -> IterationTrace:
     """Advance both sequences until the step movements drop below tol.
@@ -189,12 +195,14 @@ def run(problem: NonlinearProblem, k: float, max_iter: int, tol: float,
     is present) derivative-bound flags are recorded at every step with a
     1e-9 comparison slack; failures are recorded, not fatal. An iterate
     growing past 10x the initial bracket sup-norm raises DivergenceError
-    with the partial trace attached.
+    with the partial trace attached. A k of the wrong sign for the ordering
+    raises ValidationError before any step.
     """
     if max_iter < 1:
         raise ValidationError("max_iter must be at least 1, got %r" % max_iter)
     if not 0 < tol < np.inf:
         raise ValidationError("tol must be positive and finite, got %r" % tol)
+    require_shift_sign(problem.ordering, k)
     nodes = build_grid(grid_n, problem.config.xi, problem.config.eta)
     solver = get_solver(problem.config, ShiftedOperator(k), nodes)
     (c, dc), (d, dd) = problem.initial_lower(nodes), problem.initial_upper(nodes)

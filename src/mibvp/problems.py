@@ -6,17 +6,18 @@ round-trip exactly, so configs can be rewritten without drift.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 from .admissibility import LipschitzData, estimate_lipschitz, nagumo_bound
 from .errors import ValidationError
-from .expressions import parse_expression
+from .expressions import Expression, parse_expression, require_variables
 from .kernel import PI2_OVER_4, BoundaryConfig
-from .monotone import ORDERINGS, NonlinearProblem
+from .monotone import ORDERINGS, NonlinearProblem, require_shift_sign
 
 _TOP_KEYS = {"boundary", "psi", "lower0", "upper0", "ordering", "k",
              "grid_n", "tol", "max_iter", "lipschitz", "nagumo"}
-_BOUNDARY_KEYS = {"xi", "eta", "lambda1", "lambda2"}
+_BOUNDARY_KEYS = ("xi", "eta", "lambda1", "lambda2")
 _RANGE_KEYS = {"lo", "hi", "steps"}
 _LIP_KEYS = {"L1", "L2"}
 _NAGUMO_KEYS = {"phi"}
@@ -34,27 +35,39 @@ def _require(data, key, types, where):
 
 
 def _reject_unknown(data, allowed, where):
-    unknown = set(data) - allowed
+    unknown = set(data).difference(allowed)
     if unknown:
         raise ValidationError("unknown keys in %s: %s" % (where, sorted(unknown)))
+
+
+def _expression(data, key, where, allowed):
+    """data[key] parsed, its variables checked against allowed."""
+    expr = parse_expression(_require(data, key, str, where))
+    return require_variables(expr, allowed, "%s.%s" % (where, key))
+
+
+def _finite_k(data, key, where):
+    k = float(_require(data, key, (int, float), where))
+    if not math.isfinite(k):
+        raise ValidationError("%s.%s must be finite, got %r" % (where, key, k))
+    return k
 
 
 @dataclass
 class ProblemConfig:
     """Validated problem description matching the JSON file schema.
 
-    k is either a single shift value or a scan range dict {lo, hi, steps}.
-    lipschitz (optional) overrides the estimated data with explicit L1 and
-    an L2 expression in x; nagumo.phi is an expression in s or "auto".
+    The expressions are stored parsed. k is either a single shift value or
+    a scan range dict {lo, hi, steps}; every k it holds has the sign the
+    ordering needs. lipschitz (optional) overrides the estimated data with
+    explicit L1 and an L2 expression in x; nagumo.phi is an expression in s
+    or "auto".
     """
 
-    xi: float
-    eta: float
-    lambda1: float
-    lambda2: float
-    psi: str
-    lower0: str
-    upper0: str
+    boundary_config: BoundaryConfig
+    psi: Expression
+    lower0: Expression
+    upper0: Expression
     ordering: str
     k: object
     grid_n: int
@@ -70,23 +83,12 @@ class ProblemConfig:
         _reject_unknown(data, _TOP_KEYS, "config")
         boundary = _require(data, "boundary", dict, "config")
         _reject_unknown(boundary, _BOUNDARY_KEYS, "boundary")
-        xi = float(_require(boundary, "xi", (int, float), "boundary"))
-        eta = float(_require(boundary, "eta", (int, float), "boundary"))
-        lambda1 = float(_require(boundary, "lambda1", (int, float), "boundary"))
-        lambda2 = float(_require(boundary, "lambda2", (int, float), "boundary"))
-        BoundaryConfig(xi, eta, lambda1, lambda2)  # range validation
+        boundary_config = BoundaryConfig(*(
+            float(_require(boundary, key, (int, float), "boundary")) for key in _BOUNDARY_KEYS))
 
-        psi = _require(data, "psi", str, "config")
-        lower0 = _require(data, "lower0", str, "config")
-        upper0 = _require(data, "upper0", str, "config")
-        for label, text, allowed in (("psi", psi, {"x", "u", "up"}),
-                                     ("lower0", lower0, {"x"}),
-                                     ("upper0", upper0, {"x"})):
-            expr = parse_expression(text)
-            extra = set(expr.variables) - allowed
-            if extra:
-                raise ValidationError("%s uses variables %s outside %s"
-                                      % (label, sorted(extra), sorted(allowed)))
+        psi = _expression(data, "psi", "config", {"x", "u", "up"})
+        lower0 = _expression(data, "lower0", "config", {"x"})
+        upper0 = _expression(data, "upper0", "config", {"x"})
 
         ordering = _require(data, "ordering", str, "config")
         if ordering not in ORDERINGS:
@@ -94,24 +96,23 @@ class ProblemConfig:
                                   % (ORDERINGS, ordering))
 
         k = data.get("k")
-        if isinstance(k, bool) or k is None:
-            raise ValidationError("config.k must be a number or a range object")
         if isinstance(k, dict):
             _reject_unknown(k, _RANGE_KEYS, "k")
-            lo = float(_require(k, "lo", (int, float), "k"))
-            hi = float(_require(k, "hi", (int, float), "k"))
+            lo, hi = _finite_k(k, "lo", "k"), _finite_k(k, "hi", "k")
             steps = _require(k, "steps", int, "k")
             if not lo < hi:
                 raise ValidationError("k range needs lo < hi")
             if steps < 2:
                 raise ValidationError("k range needs steps >= 2")
             k = {"lo": lo, "hi": hi, "steps": int(steps)}
-        elif isinstance(k, (int, float)):
-            k = float(k)
-            if k == 0.0:
-                raise ValidationError("k = 0 is outside both regimes")
+            shifts = (lo, hi)
+        elif isinstance(k, (int, float)):  # _finite_k rejects a boolean
+            k = _finite_k(data, "k", "config")
+            shifts = (k,)
         else:
             raise ValidationError("config.k must be a number or a range object")
+        for shift in shifts:
+            require_shift_sign(ordering, shift)
 
         grid_n = _require(data, "grid_n", int, "config")
         if grid_n < 5:
@@ -131,13 +132,7 @@ class ProblemConfig:
             l1 = float(_require(lipschitz, "L1", (int, float), "lipschitz"))
             if l1 < 0:
                 raise ValidationError("lipschitz.L1 must be nonnegative")
-            l2 = _require(lipschitz, "L2", str, "lipschitz")
-            expr = parse_expression(l2)
-            extra = set(expr.variables) - {"x"}
-            if extra:
-                raise ValidationError("lipschitz.L2 may only use x, found %s"
-                                      % sorted(extra))
-            lipschitz = {"L1": l1, "L2": l2}
+            lipschitz = {"L1": l1, "L2": _expression(lipschitz, "L2", "lipschitz", {"x"})}
 
         nagumo = data.get("nagumo")
         if nagumo is not None:
@@ -146,25 +141,20 @@ class ProblemConfig:
             _reject_unknown(nagumo, _NAGUMO_KEYS, "nagumo")
             phi = _require(nagumo, "phi", str, "nagumo")
             if phi != "auto":
-                expr = parse_expression(phi)
-                extra = set(expr.variables) - {"s"}
-                if extra:
-                    raise ValidationError("nagumo.phi may only use s, found %s"
-                                          % sorted(extra))
+                phi = _expression(nagumo, "phi", "nagumo", {"s"})
             nagumo = {"phi": phi}
 
-        return cls(xi=xi, eta=eta, lambda1=lambda1, lambda2=lambda2, psi=psi,
-                   lower0=lower0, upper0=upper0, ordering=ordering, k=k,
-                   grid_n=int(grid_n), tol=tol, max_iter=int(max_iter),
-                   lipschitz=lipschitz, nagumo=nagumo)
+        return cls(boundary_config=boundary_config, psi=psi, lower0=lower0,
+                   upper0=upper0, ordering=ordering, k=k, grid_n=int(grid_n),
+                   tol=tol, max_iter=int(max_iter), lipschitz=lipschitz,
+                   nagumo=nagumo)
 
     def to_dict(self) -> dict:
         out = {
-            "boundary": {"xi": self.xi, "eta": self.eta,
-                         "lambda1": self.lambda1, "lambda2": self.lambda2},
-            "psi": self.psi,
-            "lower0": self.lower0,
-            "upper0": self.upper0,
+            "boundary": asdict(self.boundary_config),
+            "psi": self.psi.text,
+            "lower0": self.lower0.text,
+            "upper0": self.upper0.text,
             "ordering": self.ordering,
             "k": dict(self.k) if isinstance(self.k, dict) else self.k,
             "grid_n": self.grid_n,
@@ -172,9 +162,10 @@ class ProblemConfig:
             "max_iter": self.max_iter,
         }
         if self.lipschitz is not None:
-            out["lipschitz"] = dict(self.lipschitz)
+            out["lipschitz"] = {"L1": self.lipschitz["L1"], "L2": self.lipschitz["L2"].text}
         if self.nagumo is not None:
-            out["nagumo"] = dict(self.nagumo)
+            phi = self.nagumo["phi"]
+            out["nagumo"] = {"phi": phi if phi == "auto" else phi.text}
         return out
 
     @classmethod
@@ -187,10 +178,6 @@ class ProblemConfig:
         except json.JSONDecodeError as exc:
             raise ValidationError("config %s is not valid JSON: %s" % (path, exc)) from exc
         return cls.from_dict(data)
-
-    @property
-    def boundary_config(self) -> BoundaryConfig:
-        return BoundaryConfig(self.xi, self.eta, self.lambda1, self.lambda2)
 
     def scalar_k(self) -> float:
         if isinstance(self.k, dict):
@@ -211,26 +198,23 @@ def build_problem(config: ProblemConfig, with_lipschitz: bool = True) -> Nonline
 
     Attaches the Nagumo verdict first when the config has a nagumo section
     (the Lipschitz estimator's sampling box uses P when one exists), then
-    the explicit Lipschitz override or a sampled estimate.
+    the explicit Lipschitz override or a sampled estimate. The config's
+    expressions are used as parsed; nothing is parsed again.
     """
-    phi_spec = None
-    if config.nagumo is not None:
-        phi_spec = (config.nagumo["phi"] if config.nagumo["phi"] == "auto"
-                    else parse_expression(config.nagumo["phi"]))
     problem = NonlinearProblem(
-        psi=parse_expression(config.psi),
+        psi=config.psi,
         config=config.boundary_config,
-        lower0=parse_expression(config.lower0),
-        upper0=parse_expression(config.upper0),
+        lower0=config.lower0,
+        upper0=config.upper0,
         ordering=config.ordering,
-        nagumo_phi=phi_spec,
+        nagumo_phi=None if config.nagumo is None else config.nagumo["phi"],
     )
-    if phi_spec is not None:
+    if problem.nagumo_phi is not None:
         problem.nagumo = nagumo_bound(problem)
     if with_lipschitz:
         if config.lipschitz is not None:
             problem.lip = LipschitzData.from_expression(
-                config.lipschitz["L1"], parse_expression(config.lipschitz["L2"]))
+                config.lipschitz["L1"], config.lipschitz["L2"])
         else:
             problem.lip = estimate_lipschitz(problem)
     return problem

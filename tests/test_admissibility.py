@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,13 @@ class TestNegativeChecks:
     def test_out_of_regime(self, k):
         with pytest.raises(ValidationError):
             check_negative_k(CFG2, k, LIP2)
+
+    def test_infinite_k_rejected_before_margins(self):
+        # the margins overflow at k = -inf, so k is checked before any is computed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="k must be finite"):
+                check_negative_k(CFG2, -math.inf, LIP2)
 
 
 class TestScanK:

@@ -44,8 +44,9 @@ class TestCheck:
         assert payload["admissible"] is True
         assert payload["regime"] == "negative"
 
-    def test_zero_k_rejected(self, problems_dir, capsys):
-        assert main(["check", _ex1(problems_dir), "--k", "0"]) == 1
+    @pytest.mark.parametrize("command", ["check", "solve", "greens-dump", "oracle-compare"])
+    def test_zero_k_rejected(self, problems_dir, capsys, command):
+        assert main([command, _ex1(problems_dir), "--k", "0"]) == 1
         assert "validation error" in capsys.readouterr().err
 
     def test_non_finite_l2_exits_1(self, tmp_path, capsys):
@@ -143,6 +144,11 @@ class TestSolve:
     def test_range_config_needs_k(self, problems_dir, capsys):
         assert main(["solve", _ex2(problems_dir)]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("config, k", [("example1.json", "-2"), ("example2.json", "0.5")])
+    def test_shift_sign_against_ordering_exits_1(self, problems_dir, capsys, config, k):
+        assert main(["solve", str(problems_dir / config), "--k", k]) == 1
+        assert "ordered bracket needs k" in capsys.readouterr().err
 
     def test_divergent_problem_exits_2(self, tmp_path, capsys):
         data = copy.deepcopy(EXAMPLE1)

@@ -234,7 +234,7 @@ class TestRunControl:
         assert t.diverged is False
         assert t.iterations == 3
 
-    def test_validation(self, ex1_problem):
+    def test_validation(self, ex1_problem, ex2_problem):
         with pytest.raises(ValidationError):
             run(ex1_problem, 0.49, max_iter=0, tol=1e-8)
         with pytest.raises(ValidationError):
@@ -243,6 +243,12 @@ class TestRunControl:
             run(ex1_problem, 0.49, max_iter=10, tol=-1e-8)
         with pytest.raises(ValidationError):
             run(ex1_problem, 0.49, max_iter=10, tol=float("inf"))
+        # a shift of the wrong sign for the ordering is refused before any
+        # step, not left to the divergence check
+        with pytest.raises(ValidationError, match="reverse-ordered bracket needs k > 0"):
+            run(ex1_problem, -2.0, max_iter=10, tol=1e-8, grid_n=201)
+        with pytest.raises(ValidationError, match="well-ordered bracket needs k < 0"):
+            run(ex2_problem, 0.5, max_iter=10, tol=1e-8, grid_n=201)
 
 
 class TestTraceInvariants:

@@ -2,15 +2,63 @@ import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mibvp.errors import ValidationError
 from mibvp.expressions import Expression
 from mibvp.kernel import PI2_OVER_4, BoundaryConfig
+from mibvp.monotone import SHIFT_SIGN
 from mibvp.problems import (EXAMPLE1, EXAMPLE2, ProblemConfig, build_problem,
                             example1, example2)
 
 
+PSI_POOL = ("(exp(u) - x*exp(up))/195", "((exp(x)-1)/40)*(up^2 - u - cos(x)/4)",
+            "u/10", "-sin(x)*up")
+X_POOL = ("1 + 2.525*x + x^2", "-(1 + 2.525*x + x^2)", "1.9 + x/2", "0")
+L2_POOL = ("x*exp(0.2154)/195", "2*5.868826*(exp(x)-1)/40", "x")
+PHI_POOL = ("auto", "0.042957*(s^2 + 2.65)", "(exp(4.525) + exp(abs(s)))/195")
+
+
+@st.composite
+def config_dicts(draw):
+    """Valid config dicts: random boundary, pooled expressions, a k of the ordering's sign."""
+    eta = draw(st.floats(0.01, 0.99))
+    xi = draw(st.floats(0.0, eta, exclude_min=True))
+    lambdas = st.floats(0.0, 10.0)
+    ordering = draw(st.sampled_from(sorted(SHIFT_SIGN)))
+    shifts = sorted(SHIFT_SIGN[ordering] * m for m in draw(
+        st.lists(st.floats(0.01, 2.4), min_size=2, max_size=2, unique=True)))
+    if draw(st.booleans()):
+        k = shifts[0]
+    else:
+        k = {"lo": shifts[0], "hi": shifts[1], "steps": draw(st.integers(2, 500))}
+    data = {
+        "boundary": {"xi": xi, "eta": eta, "lambda1": draw(lambdas),
+                     "lambda2": draw(lambdas)},
+        "psi": draw(st.sampled_from(PSI_POOL)),
+        "lower0": draw(st.sampled_from(X_POOL)),
+        "upper0": draw(st.sampled_from(X_POOL)),
+        "ordering": ordering,
+        "k": k,
+        "grid_n": draw(st.integers(5, 3001)),
+        "tol": draw(st.floats(1e-14, 1.0)),
+        "max_iter": draw(st.integers(1, 5000)),
+    }
+    if draw(st.booleans()):
+        data["lipschitz"] = {"L1": draw(st.floats(0.0, 5.0)),
+                             "L2": draw(st.sampled_from(L2_POOL))}
+    if draw(st.booleans()):
+        data["nagumo"] = {"phi": draw(st.sampled_from(PHI_POOL))}
+    return data
+
+
 class TestRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(config_dicts())
+    def test_random_valid_configs(self, data):
+        assert ProblemConfig.from_dict(data).to_dict() == data
+
     def test_example_dicts(self):
         assert ProblemConfig.from_dict(EXAMPLE1).to_dict() == EXAMPLE1
         assert ProblemConfig.from_dict(EXAMPLE2).to_dict() == EXAMPLE2
@@ -62,6 +110,16 @@ BAD_CONFIGS = [
     ("upper0 bad variable", _corrupt(EXAMPLE1, ["upper0"], "u")),
     ("bad ordering", _corrupt(EXAMPLE1, ["ordering"], "diagonal")),
     ("k zero", _corrupt(EXAMPLE1, ["k"], 0.0)),
+    ("k sign against reverse ordering", _corrupt(EXAMPLE1, ["k"], -2.0)),
+    ("k sign against well ordering", _corrupt(EXAMPLE2, ["k"], 0.5)),
+    ("k range end against well ordering",
+     _corrupt(EXAMPLE2, ["k"], {"lo": -10.0, "hi": 0.5, "steps": 5})),
+    ("k range against reverse ordering",
+     _corrupt(EXAMPLE1, ["k"], {"lo": -10.0, "hi": -0.01, "steps": 5})),
+    ("k nan", _corrupt(EXAMPLE1, ["k"], float("nan"))),
+    ("k infinite", _corrupt(EXAMPLE2, ["k"], float("-inf"))),
+    ("k range end infinite",
+     _corrupt(EXAMPLE2, ["k"], {"lo": float("-inf"), "hi": -0.01, "steps": 5})),
     ("k boolean", _corrupt(EXAMPLE1, ["k"], True)),
     ("k missing", _corrupt(EXAMPLE1, ["k"], None)),
     ("k wrong type", _corrupt(EXAMPLE1, ["k"], "0.49")),
@@ -141,6 +199,17 @@ class TestBuildProblem:
         assert p.lip.l1 == 0.042957
         assert p.nagumo is not None and p.nagumo.success is True
         assert p.nagumo.P == pytest.approx(5.9795, abs=1e-3)
+
+    def test_parses_nothing(self, ex1_config, monkeypatch):
+        # the loaded config already holds the parsed expressions
+        def refuse(text):
+            raise AssertionError("parse_expression(%r) called" % text)
+
+        monkeypatch.setattr("mibvp.problems.parse_expression", refuse)
+        p = build_problem(ex1_config)
+        assert p.psi is ex1_config.psi
+        assert p.nagumo_phi is ex1_config.nagumo["phi"]
+        assert p.lip.l2_text == EXAMPLE1["lipschitz"]["L2"]
 
     def test_without_lipschitz(self, ex1_config):
         p = build_problem(ex1_config, with_lipschitz=False)
