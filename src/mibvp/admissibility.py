@@ -8,12 +8,9 @@ Nagumo derivative bound P.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import NumericalError, ValidationError
 from .expressions import Expression, require_variables
@@ -28,6 +25,10 @@ SCAN_REFINE_TOL = 1e-4
 BOX_SAMPLES = 121
 # k samples of a sign_table window
 SIGN_TABLE_SAMPLES = 2000
+# Gauss-Legendre nodes and weights on [-1, 1] for each quadrature panel
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# _integrate's panel tolerance (a fraction of the whole) and halving limits
+_QUAD_RTOL, _QUAD_LEVELS, _QUAD_PANELS = 1e-13, 200, 4096
 
 
 def _refined_extremum(vals, xs, sign=1.0):
@@ -407,6 +408,75 @@ def estimate_lipschitz(problem) -> LipschitzData:
     return LipschitzData.from_callable(l1, lambda pts: np.interp(pts, xs, profile))
 
 
+def _panel_sums(f, lo, hi):
+    """The Gauss-Legendre estimate of the integral of f over each [lo_i, hi_i]."""
+    half = 0.5 * (hi - lo)
+    return half * (f((lo + half)[:, None] + half[:, None] * _GL_NODES) @ _GL_WEIGHTS)
+
+
+def _integrate(f, a, b, breaks):
+    """(value, error estimate) of the integral of f from a to b.
+
+    Adaptive composite Gauss-Legendre: the panels start at the breaks inside
+    (a, b), where f may have kinks, and each is halved until its estimate
+    and the sum over its halves agree. The value sums the halves and the
+    error their disagreements; the error is inf when a panel is still open
+    after the last round, so an integral that does not settle is not
+    trusted. b = inf is mapped by s = a - c + c/u with c = |a| + 1, from
+    u in (0, 1] (QUADPACK qagi's map, scaled by c), so halving toward u = 0
+    follows an algebraic tail out to s of order c 2**_QUAD_LEVELS.
+    """
+    if b == np.inf:
+        c = abs(a) + 1.0
+        g, shift = f, a - c
+
+        def f(u):
+            return g(shift + c / u) * (c / u ** 2)
+
+        breaks = [c / (x - a + c) for x in breaks if x > a]
+        a, b = 0.0, 1.0
+    edges = np.unique(np.r_[a, [x for x in breaks if a < x < b], b])
+    lo, hi = edges[:-1], edges[1:]
+    est = _panel_sums(f, lo, hi)
+    value = error = 0.0
+    for _ in range(_QUAD_LEVELS):
+        mid = 0.5 * (lo + hi)
+        halves = _panel_sums(f, np.r_[lo, mid], np.r_[mid, hi])
+        left, right = halves[:lo.size], halves[lo.size:]
+        diff = np.abs(left + right - est)
+        done = diff <= _QUAD_RTOL * abs(value + halves.sum())
+        value += left[done].sum() + right[done].sum()
+        error += diff[done].sum()
+        if done.all():
+            return value, error
+        lo, hi = np.r_[lo[~done], mid[~done]], np.r_[mid[~done], hi[~done]]
+        est = np.r_[left[~done], right[~done]]
+        if lo.size > _QUAD_PANELS:
+            break
+    return value + est.sum(), np.inf
+
+
+def _root(f, a, b):
+    """A root of f between a and b, where f(a) and f(b) differ in sign.
+
+    Bisects until the bracket is narrower than 1e-10 + 4 eps |a| (brentq's
+    stopping rule at xtol=1e-10) and returns its midpoint.
+    """
+    fa = f(a)
+    if fa == 0:
+        return a
+    while abs(b - a) > 1e-10 + 4 * np.finfo(float).eps * abs(a):
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if fm == 0:
+            return mid
+        if (fm > 0) == (fa > 0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
 def nagumo_bound(problem) -> NagumoData:
     """Compute the derivative bound P from the growth majorant phi.
 
@@ -430,9 +500,9 @@ def nagumo_bound(problem) -> NagumoData:
     if diameter <= 0:
         raise ValidationError("negative diameter: the initial bracket is inverted")
 
-    phi_text = None
+    breaks = ()
     if phi_spec == "auto":
-        phi_fn = _auto_majorant(problem, gamma, diameter)
+        phi_fn, breaks = _auto_majorant(problem, gamma, diameter)
         phi_text = "auto"
     elif isinstance(phi_spec, Expression):
         expr = require_variables(phi_spec, {"s"}, "phi")
@@ -452,26 +522,17 @@ def nagumo_bound(problem) -> NagumoData:
         raise ValidationError("phi must be defined and positive on its sampling range")
 
     def integrand(s):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             v = s / phi_fn(s)
         return np.where(np.isfinite(v), v, 0.0)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            tail, terr = quad(integrand, gamma, np.inf, limit=200)
-        except Exception:
-            tail, terr = np.nan, np.nan
+    tail, terr = _integrate(integrand, gamma, np.inf, breaks)
 
     def accumulated(P):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            val, _ = quad(integrand, gamma, P, limit=200)
-        return val
+        return _integrate(integrand, gamma, P, breaks)[0]
 
     # trust the improper integral only when it is consistent with a finite
-    # prefix of itself; on divergent integrands quad can return garbage with
-    # a confident error estimate
+    # prefix of itself
     if np.isfinite(tail) and tail < diameter and terr < max(1e-8, 0.01 * (diameter - tail)):
         if tail >= max(0.0, accumulated(gamma + 1.0)) - 1e-9:
             return NagumoData(gamma=gamma, P=None, diameter=diameter,
@@ -485,7 +546,7 @@ def nagumo_bound(problem) -> NagumoData:
             reached = accumulated(cap)
             return NagumoData(gamma=gamma, P=None, diameter=diameter,
                               success=False, tail=float(reached), phi_text=phi_text)
-    P = brentq(lambda p: accumulated(p) - diameter, gamma, hi, xtol=1e-10)
+    P = _root(lambda p: accumulated(p) - diameter, gamma, hi)
     # keep the improper integral only when the quadrature actually resolved it
     reliable = np.isfinite(tail) and np.isfinite(terr) and terr < 0.01 * max(abs(tail), 1.0)
     return NagumoData(gamma=gamma, P=float(P), diameter=diameter,
@@ -496,8 +557,9 @@ def nagumo_bound(problem) -> NagumoData:
 def _auto_majorant(problem, gamma, diameter):
     """Sampled growth majorant: sup over the bracket of |psi| at each slope.
 
-    Coarse by construction (nondecreasing envelope, constant beyond the
-    sampling cap); prefer an explicit phi when certifying results.
+    Returns phi and its knots: phi is piecewise linear between them, a
+    nondecreasing envelope, constant beyond the sampling cap. Coarse by
+    construction; prefer an explicit phi when certifying results.
     """
     xs, U = _u_box(problem, 41)
     s_cap = 10.0 * (gamma + diameter + 1.0)
@@ -513,7 +575,7 @@ def _auto_majorant(problem, gamma, diameter):
     def phi_fn(s):
         return np.interp(np.abs(np.asarray(s, float)), sgrid, vals)
 
-    return phi_fn
+    return phi_fn, sgrid
 
 
 def sign_table(config: BoundaryConfig, lip: LipschitzData, regime, k_lo: float,
@@ -550,6 +612,6 @@ def sign_table(config: BoundaryConfig, lip: LipschitzData, regime, k_lo: float,
         first = None
         if changes.size:
             i = changes[0]
-            first = float(brentq(at, ks[i], ks[i + 1], xtol=1e-10))
+            first = float(_root(at, ks[i], ks[i + 1]))
         rows.append({"id": cid, "crossings": int(changes.size), "first_crossing": first})
     return rows

@@ -21,6 +21,7 @@ from .admissibility import check_k, scan_k
 from .errors import NumericalError, ValidationError
 from .kernel import Regime, ShiftedOperator, kernel_functions
 from .linear_bvp import GridFunction, build_grid, get_solver
+from .monotone import require_shift_sign
 from .monotone import run as run_iteration
 from .oracle import fd_linear, fd_nonlinear
 from .problems import ProblemConfig, build_problem
@@ -196,6 +197,7 @@ def cmd_oracle_compare(args):
     config = ProblemConfig.load(args.config)
     problem = build_problem(config)
     k = _pick_k(config, args.k)
+    require_shift_sign(problem.ordering, k)  # before the linear comparison builds anything
     grid_n = args.grid_n if args.grid_n is not None else config.grid_n
     boundary = config.boundary_config
     nodes = build_grid(grid_n, boundary.xi, boundary.eta)

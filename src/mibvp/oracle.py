@@ -6,7 +6,9 @@ fd_weights gives finite-difference weights on arbitrarily spaced nodes, so
 every build_grid grid works, including those with an inserted xi or eta.
 The schemes use 3-point stencils: central inside, one-sided in the
 boundary rows, with sparse LU. fd_linear checks the quadrature solver;
-fd_nonlinear (damped Newton) checks the monotone iteration's limit.
+fd_nonlinear (damped Newton) checks the monotone iteration's limit. This
+is the only module that uses scipy, and it imports it on first use, so
+importing the package loads numpy alone.
 """
 from __future__ import annotations
 
@@ -14,8 +16,6 @@ from math import factorial
 
 import numpy as np
 from numpy.polynomial.polynomial import polyvander
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .errors import OracleError
 from .linear_bvp import GridFunction, build_grid, node_index
@@ -81,7 +81,16 @@ def _assemble(config, nodes, stencils, diag, slope, scale):
     vals = np.r_[vals.ravel(), -np.broadcast_to(diag, inner.shape),
                  -config.lambda1, -config.lambda2]
     vals *= np.broadcast_to(scale, (n,))[rows]
+    from scipy import sparse
+
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def splu(matrix):
+    """scipy.sparse.linalg.splu of matrix, with scipy imported on the first call."""
+    from scipy.sparse.linalg import splu as factor
+
+    return factor(matrix)
 
 
 def _factor_checked(matrix, what):

@@ -21,6 +21,8 @@ _BOUNDARY_KEYS = ("xi", "eta", "lambda1", "lambda2")
 _RANGE_KEYS = {"lo", "hi", "steps"}
 _LIP_KEYS = {"L1", "L2"}
 _NAGUMO_KEYS = {"phi"}
+# the types of a number field, which _require returns as a float
+_NUMBER = (int, float)
 
 
 def _require(data, key, types, where):
@@ -31,6 +33,11 @@ def _require(data, key, types, where):
         raise ValidationError("%s.%s has wrong type %s" % (where, key, type(val).__name__))
     if isinstance(val, bool):
         raise ValidationError("%s.%s must be numeric, got a boolean" % (where, key))
+    if types == _NUMBER:  # an int too large for a float is refused
+        try:
+            return float(val)
+        except OverflowError:
+            raise ValidationError("%s.%s is too large for a float" % (where, key)) from None
     return val
 
 
@@ -47,7 +54,7 @@ def _expression(data, key, where, allowed):
 
 
 def _finite_k(data, key, where):
-    k = float(_require(data, key, (int, float), where))
+    k = _require(data, key, _NUMBER, where)
     if not math.isfinite(k):
         raise ValidationError("%s.%s must be finite, got %r" % (where, key, k))
     return k
@@ -84,7 +91,7 @@ class ProblemConfig:
         boundary = _require(data, "boundary", dict, "config")
         _reject_unknown(boundary, _BOUNDARY_KEYS, "boundary")
         boundary_config = BoundaryConfig(*(
-            float(_require(boundary, key, (int, float), "boundary")) for key in _BOUNDARY_KEYS))
+            _require(boundary, key, _NUMBER, "boundary") for key in _BOUNDARY_KEYS))
 
         psi = _expression(data, "psi", "config", {"x", "u", "up"})
         lower0 = _expression(data, "lower0", "config", {"x"})
@@ -106,7 +113,7 @@ class ProblemConfig:
                 raise ValidationError("k range needs steps >= 2")
             k = {"lo": lo, "hi": hi, "steps": int(steps)}
             shifts = (lo, hi)
-        elif isinstance(k, (int, float)):  # _finite_k rejects a boolean
+        elif isinstance(k, _NUMBER):  # _finite_k rejects a boolean
             k = _finite_k(data, "k", "config")
             shifts = (k,)
         else:
@@ -117,7 +124,7 @@ class ProblemConfig:
         grid_n = _require(data, "grid_n", int, "config")
         if grid_n < 5:
             raise ValidationError("grid_n must be at least 5")
-        tol = float(_require(data, "tol", (int, float), "config"))
+        tol = _require(data, "tol", _NUMBER, "config")
         if not 0 < tol < float("inf"):
             raise ValidationError("tol must be positive and finite")
         max_iter = _require(data, "max_iter", int, "config")
@@ -129,7 +136,7 @@ class ProblemConfig:
             if not isinstance(lipschitz, dict):
                 raise ValidationError("lipschitz must be an object")
             _reject_unknown(lipschitz, _LIP_KEYS, "lipschitz")
-            l1 = float(_require(lipschitz, "L1", (int, float), "lipschitz"))
+            l1 = _require(lipschitz, "L1", _NUMBER, "lipschitz")
             if l1 < 0:
                 raise ValidationError("lipschitz.L1 must be nonnegative")
             lipschitz = {"L1": l1, "L2": _expression(lipschitz, "L2", "lipschitz", {"x"})}

@@ -12,6 +12,7 @@ from mibvp.errors import NumericalError, ValidationError
 from mibvp.expressions import parse_expression
 from mibvp.kernel import PI2_OVER_4, BoundaryConfig, Regime
 from mibvp.monotone import NonlinearProblem
+from mibvp.problems import build_problem
 
 CFG1 = BoundaryConfig(0.1, 0.2, 2.0, 3.0)
 CFG2 = BoundaryConfig(0.2, 0.3, 0.25, 1.0 / 9.0)
@@ -359,6 +360,8 @@ class TestNagumoBound:
         assert nag.diameter == pytest.approx(4.0, abs=1e-12)
         # (P^2 - gamma^2) / (2 M) = diameter with M = 2
         assert (nag.P ** 2 - 16.0) / 4.0 == pytest.approx(4.0, abs=1e-7)
+        # the integral of s/2 to infinity diverges, so it carries no tail
+        assert nag.tail is None
 
     # ln(s - 10) is undefined (NaN) on [0, 10) and negative on (10, 11)
     @pytest.mark.parametrize("phi", ["s - 100", "ln(s - 10)"])
@@ -429,6 +432,78 @@ class TestNagumoBound:
         nag = nagumo_bound(problem)
         assert nag.success is True
         assert nag.P is not None and nag.P >= nag.gamma
+
+
+# (config, phi replacing nagumo.phi or None, success, field, value): values
+# of scipy's quad and brentq, which the numpy quadrature and root finder
+# match to 1e-9 relative
+NAGUMO_PINNED = [
+    ("example1", None, False, "tail", 0.22888112617624648),
+    ("example2", None, True, "P", 5.979521732704125),
+    ("example2", "exp(s)", False, "tail", 0.04773253288431617),
+    ("example2", "s^2/1000 + 1", True, "P", 5.7149460723841665),
+    ("example2", "1/(1+s^2)+s^2", True, "P", 517.5329817725843),
+    ("example2", "exp(s/50)", True, "P", 5.78341852652334),
+    ("example2", "exp(s/50)", True, "tail", 2489.1914040282545),
+]
+
+# (config, field, scipy quad's value, quad at epsrel 1e-14 split at the knots)
+# for phi = "auto", whose majorant is piecewise linear between its knots
+NAGUMO_AUTO_PINNED = [
+    ("example1", "tail", 0.21800629223791299, 0.21800629239994382),
+    ("example2", "P", 5.959919827204207, 5.959919796974128),
+]
+
+# first_crossing of each single-crossing sign_table row, from brentq
+SIGN_TABLE_PINNED = {
+    "L34a-sup": 0.47694005643736387,
+    "A1-2": 0.8679163308559972,
+    "A'1-2": -0.06965248607923917,
+    "A'1-3": -0.06265677282578111,
+}
+
+
+def _nagumo_with(config, phi):
+    problem = build_problem(config, with_lipschitz=False)
+    problem.nagumo_phi = phi
+    return nagumo_bound(problem)
+
+
+class TestPinnedValues:
+    @pytest.mark.parametrize("name, phi, success, field, value", NAGUMO_PINNED,
+                             ids=["%s-%s-%s" % (c, p, f) for c, p, _, f, _ in NAGUMO_PINNED])
+    def test_nagumo(self, ex1_config, ex2_config, name, phi, success, field, value):
+        config = ex1_config if name == "example1" else ex2_config
+        nag = _nagumo_with(config, config.nagumo["phi"] if phi is None
+                           else parse_expression(phi))
+        assert nag.success is success
+        assert getattr(nag, field) == pytest.approx(value, rel=1e-9, abs=0)
+
+    def test_exponential_tail_closed_form(self, ex2_config):
+        # int_gamma^inf s exp(-s/50) ds = 50 exp(-gamma/50) (gamma + 50)
+        nag = _nagumo_with(ex2_config, parse_expression("exp(s/50)"))
+        exact = 50.0 * math.exp(-nag.gamma / 50.0) * (nag.gamma + 50.0)
+        assert nag.tail == pytest.approx(exact, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("name, field, quad_value, reference", NAGUMO_AUTO_PINNED,
+                             ids=[c for c, *_ in NAGUMO_AUTO_PINNED])
+    def test_auto_majorant(self, ex1_config, ex2_config, name, field, quad_value,
+                           reference):
+        config = ex1_config if name == "example1" else ex2_config
+        nag = _nagumo_with(config, "auto")
+        assert nag.success is (field == "P")
+        assert getattr(nag, field) == pytest.approx(quad_value, rel=1e-8, abs=0)
+        assert getattr(nag, field) == pytest.approx(reference, rel=1e-10, abs=0)
+
+    def test_sign_table_crossings(self, ex1_problem, ex2_problem):
+        rows = sign_table(ex1_problem.config, ex1_problem.lip, "positive",
+                          1e-3, PI2_OVER_4 * 0.9999)
+        rows += sign_table(ex2_problem.config, ex2_problem.lip, "negative", -10.0, -0.01)
+        first = {r["id"]: r["first_crossing"] for r in rows
+                 if r["first_crossing"] is not None}
+        assert first.keys() == SIGN_TABLE_PINNED.keys()
+        for cid, value in SIGN_TABLE_PINNED.items():
+            assert first[cid] == pytest.approx(value, rel=0, abs=2e-10), cid
 
 
 class TestSignTable:

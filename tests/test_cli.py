@@ -49,6 +49,12 @@ class TestCheck:
         assert main([command, _ex1(problems_dir), "--k", "0"]) == 1
         assert "validation error" in capsys.readouterr().err
 
+    def test_integer_beyond_float_range_exits_1(self, tmp_path, capsys):
+        data = copy.deepcopy(EXAMPLE1)
+        data["tol"] = 10 ** 400  # written as "tol": 1 followed by 400 zeros
+        assert main(["check", _config_file(tmp_path, data)]) == 1
+        assert "config.tol is too large for a float" in capsys.readouterr().err
+
     def test_non_finite_l2_exits_1(self, tmp_path, capsys):
         # sqrt(x - 0.5) is NaN left of 0.5; the margins used to print as NaN
         data = copy.deepcopy(EXAMPLE1)
@@ -236,6 +242,14 @@ class TestOracleCompare:
         assert rows["linear-vs-fd"]["sup_diff"] <= 1e-4
         assert rows["monotone-vs-fd-newton"]["sup_diff"] <= 1e-4
         assert rows["monotone-vs-fd-newton"]["grid_n"] == 202
+
+    def test_shift_sign_checked_before_any_build(self, problems_dir, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise RuntimeError("oracle-compare built a solver for a refused k")
+
+        monkeypatch.setattr("mibvp.cli.get_solver", no_build)
+        assert main(["oracle-compare", _ex1(problems_dir), "--k", "-2"]) == 1
+        assert "ordered bracket needs k" in capsys.readouterr().err
 
 
 class TestNagumo:

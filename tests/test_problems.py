@@ -104,6 +104,8 @@ BAD_CONFIGS = [
     ("boundary wrong type", _corrupt(EXAMPLE1, ["boundary", "xi"], "0.1")),
     ("boundary boolean", _corrupt(EXAMPLE1, ["boundary", "lambda1"], True)),
     ("boundary bad range", _corrupt(EXAMPLE1, ["boundary", "xi"], 0.5)),
+    # json.load reads a long integer literal as an int beyond the float range
+    ("boundary too large for a float", _corrupt(EXAMPLE1, ["boundary", "lambda2"], 10 ** 400)),
     ("psi bad variable", _corrupt(EXAMPLE1, ["psi"], "s + u")),
     ("psi syntax error", _corrupt(EXAMPLE1, ["psi"], "exp(")),
     ("lower0 bad variable", _corrupt(EXAMPLE1, ["lower0"], "1 + up")),
@@ -120,6 +122,7 @@ BAD_CONFIGS = [
     ("k infinite", _corrupt(EXAMPLE2, ["k"], float("-inf"))),
     ("k range end infinite",
      _corrupt(EXAMPLE2, ["k"], {"lo": float("-inf"), "hi": -0.01, "steps": 5})),
+    ("k too large for a float", _corrupt(EXAMPLE1, ["k"], 10 ** 400)),
     ("k boolean", _corrupt(EXAMPLE1, ["k"], True)),
     ("k missing", _corrupt(EXAMPLE1, ["k"], None)),
     ("k wrong type", _corrupt(EXAMPLE1, ["k"], "0.49")),
@@ -132,6 +135,7 @@ BAD_CONFIGS = [
     ("tol zero", _corrupt(EXAMPLE1, ["tol"], 0.0)),
     ("tol negative", _corrupt(EXAMPLE1, ["tol"], -1e-8)),
     ("tol infinite", _corrupt(EXAMPLE1, ["tol"], float("inf"))),
+    ("tol too large for a float", _corrupt(EXAMPLE1, ["tol"], 10 ** 400)),
     ("max_iter zero", _corrupt(EXAMPLE1, ["max_iter"], 0)),
     ("lipschitz wrong type", _corrupt(EXAMPLE1, ["lipschitz"], [1, "x"])),
     ("lipschitz unknown key", _corrupt(EXAMPLE1, ["lipschitz", "L3"], "x")),
