@@ -29,6 +29,8 @@ SIGN_TABLE_SAMPLES = 2000
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 # _integrate's panel tolerance (a fraction of the whole) and halving limits
 _QUAD_RTOL, _QUAD_LEVELS, _QUAD_PANELS = 1e-13, 200, 4096
+# rounds in which a mapped tail's end panel must halve or double, or it is given up
+_QUAD_STALL = 10
 
 
 def _refined_extremum(vals, xs, sign=1.0):
@@ -424,9 +426,14 @@ def _integrate(f, a, b, breaks):
     after the last round, so an integral that does not settle is not
     trusted. b = inf is mapped by s = a - c + c/u with c = |a| + 1, from
     u in (0, 1] (QUADPACK qagi's map, scaled by c), so halving toward u = 0
-    follows an algebraic tail out to s of order c 2**_QUAD_LEVELS.
+    follows an algebraic tail out to s of order c 2**_QUAD_LEVELS. A tail
+    whose open panel at u = 0 has neither halved nor doubled in the last
+    _QUAD_STALL rounds goes like u**(p-1) with |p| < 0.1 there: it diverges,
+    or settles only after more than the 200 rounds, so it is given up at
+    once with error inf.
     """
-    if b == np.inf:
+    mapped = b == np.inf
+    if mapped:
         c = abs(a) + 1.0
         g, shift = f, a - c
 
@@ -439,7 +446,13 @@ def _integrate(f, a, b, breaks):
     lo, hi = edges[:-1], edges[1:]
     est = _panel_sums(f, lo, hi)
     value = error = 0.0
+    end = []  # a mapped tail's open panel at u = 0, its estimate each round
     for _ in range(_QUAD_LEVELS):
+        if mapped and lo[0] == 0.0:
+            end.append(abs(est[0]))
+            past = end[-1 - _QUAD_STALL] if len(end) > _QUAD_STALL else np.inf
+            if 0.5 * past < end[-1] < 2.0 * past:
+                break
         mid = 0.5 * (lo + hi)
         halves = _panel_sums(f, np.r_[lo, mid], np.r_[mid, hi])
         left, right = halves[:lo.size], halves[lo.size:]

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mibvp import admissibility
 from mibvp.admissibility import (LipschitzData, check_negative_k,
                                  check_positive_k, estimate_l1,
                                  estimate_lipschitz, nagumo_bound, scan_k,
@@ -484,6 +485,21 @@ class TestPinnedValues:
         nag = _nagumo_with(ex2_config, parse_expression("exp(s/50)"))
         exact = 50.0 * math.exp(-nag.gamma / 50.0) * (nag.gamma + 50.0)
         assert nag.tail == pytest.approx(exact, rel=1e-12, abs=0)
+
+    def test_divergent_tail_given_up_early(self, ex2_problem, monkeypatch):
+        # example2's s/phi decays like 1/s, so its tail diverges: the end
+        # panel's estimate levels off, and the tail is given up after ten
+        # rounds instead of halving to the 200-round cap
+        phi = ex2_problem.nagumo_phi
+        gamma = ex2_problem.nagumo.gamma
+        rounds = []
+        panel_sums = admissibility._panel_sums
+        monkeypatch.setattr(admissibility, "_panel_sums",
+                            lambda f, lo, hi: rounds.append(lo.size) or panel_sums(f, lo, hi))
+        _, error = admissibility._integrate(lambda s: s / phi.sample(s=s), gamma,
+                                            np.inf, ())
+        assert error == np.inf
+        assert len(rounds) - 1 <= 20  # the first estimate, then one call a round
 
     @pytest.mark.parametrize("name, field, quad_value, reference", NAGUMO_AUTO_PINNED,
                              ids=[c for c, *_ in NAGUMO_AUTO_PINNED])

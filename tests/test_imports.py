@@ -1,8 +1,9 @@
-"""Importing mibvp and every subcommand but oracle-compare leave scipy unloaded.
+"""mibvp runs on numpy alone: no command loads scipy, and no source imports it.
 
-Each check runs in a fresh interpreter, because the test process itself
-has scipy loaded.
+The commands run in a fresh interpreter, so that nothing the test process
+has imported counts.
 """
+import ast
 import json
 import os
 import pathlib
@@ -11,7 +12,8 @@ import sys
 
 import mibvp
 
-PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PROBLEMS = ROOT / "problems"
 
 SCRIPT = """
 import contextlib, io, json, sys
@@ -40,7 +42,7 @@ def _run(commands):
     return json.loads(done.stdout)
 
 
-def test_cli_path_loads_no_scipy():
+def test_no_command_loads_scipy():
     commands = []
     for name, k in (("example1.json", []), ("example2.json", ["--k", "-2"])):
         config = str(PROBLEMS / name)
@@ -50,15 +52,24 @@ def test_cli_path_loads_no_scipy():
             ["nagumo", config],
             ["solve", config, "--grid-n", "101"] + k,
             ["greens-dump", config, "--grid-n", "11"] + k,
+            ["oracle-compare", config, "--grid-n", "101"] + k,
         ]
     report = _run(commands)
     assert report == {label: [0, []] for label in
                       ["import"] + [" ".join(argv) for argv in commands]}
 
 
-def test_oracle_compare_loads_scipy_on_use():
-    config = str(PROBLEMS / "example1.json")
-    argv = ["oracle-compare", config, "--grid-n", "101"]
-    status, loaded = _run([argv])[" ".join(argv)]
-    assert status == 0
-    assert "scipy.sparse.linalg" in loaded
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_source_imports_scipy():
+    files = sorted((ROOT / "src" / "mibvp").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert len(files) > 10
+    offenders = [(path.name, module) for path in files for module in _imported_modules(path)
+                 if module.split(".")[0] == "scipy"]
+    assert offenders == []

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from mibvp.errors import DegenerateKernelError, ValidationError
 from mibvp.kernel import (PI2_OVER_4, BoundaryConfig, Regime, ShiftedOperator,
@@ -75,13 +74,10 @@ class TestNormalization:
 
     def test_degenerate_normalization_raises(self):
         # with lambda2 = 0, xi = 0.1, k = 1 the scalar is
-        # sin(1) - lambda1 cos(0.9); find the root and hit it
-        lam_star = brentq(
-            lambda lam: normalization_value(BoundaryConfig(0.1, 0.2, lam, 0.0),
-                                            ShiftedOperator(1.0)),
-            1.0, 2.0, xtol=1e-15)
-        assert lam_star == pytest.approx(math.sin(1.0) / math.cos(0.9), rel=1e-10)
+        # sin(1) - lambda1 cos(0.9); take its root and hit it
+        lam_star = math.sin(1.0) / math.cos(0.9)
         cfg = BoundaryConfig(0.1, 0.2, lam_star, 0.0)
+        assert abs(normalization_value(cfg, ShiftedOperator(1.0))) < 1e-12
         with pytest.raises(DegenerateKernelError):
             normalization(cfg, ShiftedOperator(1.0))
         with pytest.raises(DegenerateKernelError):

@@ -8,10 +8,22 @@ from mibvp.expressions import parse_expression
 from mibvp.kernel import BoundaryConfig, ShiftedOperator
 from mibvp.linear_bvp import GridFunction, build_grid, get_solver
 from mibvp.monotone import NonlinearProblem
-from mibvp.oracle import build_fd_system, fd_linear, fd_nonlinear, fd_weights
+from mibvp.oracle import (_assemble, _factor_checked, _stencils, build_fd_system,
+                          fd_linear, fd_nonlinear, fd_weights)
 
 CFG1 = BoundaryConfig(0.1, 0.2, 2.0, 3.0)
 CFG2 = BoundaryConfig(0.2, 0.3, 0.25, 1.0 / 9.0)
+
+
+def densify(system):
+    """The dense matrix of an oracle system (cols, vals, couplings)."""
+    cols, vals, couplings = system
+    n = len(vals)
+    m = np.zeros((n, n))
+    np.add.at(m, (np.repeat(np.arange(n), cols.shape[1]), cols.ravel()), vals.ravel())
+    for row, (col, weight) in zip((0, n - 1), couplings):
+        m[row, col] += weight
+    return m
 
 
 class TestFdWeights:
@@ -82,8 +94,8 @@ class TestFdLinear:
     def test_boundary_rows_encode_couplings(self):
         xs = np.linspace(0.0, 1.0, 101)
         k = 0.49
-        matrix, rhs = build_fd_system(CFG1, k, GridFunction(xs, np.ones_like(xs)), 0.25)
-        m = matrix.toarray()
+        system, rhs = build_fd_system(CFG1, k, GridFunction(xs, np.ones_like(xs)), 0.25)
+        m = densify(system)
         h = xs[1] - xs[0]
         # one-sided derivative stencils on the boundary rows
         assert m[0, 0] == pytest.approx(-1.5 / h)
@@ -101,6 +113,49 @@ class TestFdLinear:
         assert m[50, 51] == pytest.approx(-1.0 / h ** 2)
         assert rhs[0] == 0.0
         assert rhs[-1] == 0.25
+
+
+class TestBorderedSolve:
+    """The O(n) solve against LAPACK's dense LU of the same matrix."""
+
+    # k away from 0, where both configs resonate and the condition number
+    # grows like 1/|k| (4e6 at k = -0.01, n = 101)
+    CASES = [(cfg, k, n) for cfg, ks in ((CFG1, (0.49, 2.4)),
+                                         (CFG2, (-2.0, -10.0, -1000.0)))
+             for k in ks for n in (5, 21, 101)]
+
+    @staticmethod
+    def _check(system, rhs):
+        got = _factor_checked(system, "test system")(rhs)
+        want = np.linalg.solve(densify(system), rhs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("cfg, k, n", CASES)
+    def test_linear_system(self, cfg, k, n):
+        nodes = build_grid(n, cfg.xi, cfg.eta)
+        g = GridFunction(nodes, 1.0 + nodes + np.sin(7.0 * nodes))
+        self._check(*build_fd_system(cfg, k, g, 0.3))
+
+    @pytest.mark.parametrize("n", [5, 21, 101])
+    def test_inserted_node(self, n):
+        cfg = BoundaryConfig(0.123, 0.3, 0.25, 1.0 / 9.0)
+        nodes = build_grid(n, cfg.xi, cfg.eta)
+        assert nodes.size == n + 1 and 0.123 in nodes
+        g = GridFunction(nodes, np.cos(3.0 * nodes))
+        self._check(*build_fd_system(cfg, -2.0, g, -0.4))
+
+    @pytest.mark.parametrize("cfg", [CFG1, CFG2])
+    @pytest.mark.parametrize("n", [5, 21, 101])
+    def test_newton_jacobian(self, cfg, n):
+        # the shape fd_nonlinear factors: diag and slope vary per interior
+        # node, and the rows are scaled by h^2 (h on the boundary rows)
+        nodes = build_grid(n, cfg.xi, cfg.eta)
+        x_in = nodes[1:-1]
+        gaps = np.diff(nodes)
+        scale = np.r_[gaps[0], gaps[:-1] * gaps[1:], gaps[-1]]
+        system = _assemble(cfg, nodes, _stencils(nodes), 0.3 * np.cos(x_in) - 1.0,
+                           2.0 * x_in - 0.5, scale)
+        self._check(system, np.sin(5.0 * nodes) + 0.2)
 
 
 class TestFdNonlinear:
