@@ -1,8 +1,9 @@
 """Certify the hypotheses behind the monotone iteration.
 
 Covers the kernel-sign conditions for both regimes, the slope inequalities
-tying the Lipschitz data to the shift k, the combined negative-k bound with
-its four components, the admissible-k scan with bisection-refined interval
+tying the Lipschitz data to the shift k and the combined negative-k bound
+with its four components, all written once as margins over an array of k
+(margin_table), the admissible-k scan with bisection-refined interval
 endpoints, Lipschitz constant estimation from the source term, and the
 Nagumo derivative bound P.
 """
@@ -20,6 +21,8 @@ SUP_SAMPLES = 2001
 # the x samples every sup over [0, 1] is taken on
 SUP_XS = np.linspace(0.0, 1.0, SUP_SAMPLES)
 SCAN_REFINE_TOL = 1e-4
+# the most k samples one scan takes
+MAX_SCAN_STEPS = 10 ** 6
 # x samples of the bracket box searched by the Lipschitz estimates and the
 # sampled Nagumo majorant
 BOX_SAMPLES = 121
@@ -166,7 +169,7 @@ class AdmissibilityReport:
         }
 
 
-# kernel-sign margins shared by the regime checks and sign_table;
+# kernel-sign margins shared by margin_table and sign_table;
 # r = sqrt(k) for k > 0, t = sqrt(|k|) for k < 0
 _KERNEL_SIGN = {
     "A1-2": lambda c, r: r * np.cos(r) - c.lambda2 * np.sin(r * c.eta),
@@ -174,100 +177,110 @@ _KERNEL_SIGN = {
     "A'1-2": lambda c, t: t * np.sinh(t * c.xi) + (c.lambda1 - t) * np.cosh(t * c.xi),
     "A'1-3": lambda c, t: t - c.lambda1 * np.cosh(t * c.xi),
 }
+# the conditions that pass on margin > 0; every other one passes on margin >= 0
+_STRICT = {"Dk>0", "A1-3", "A'1-3", "Dk'>0"}
 
 
-def _l34a_slope(l1, l2, k, r):
-    """(L1 - k) cos r + L2 r sin r with r = sqrt(k); L2 is a profile or its sup."""
-    return (l1 - k) * np.cos(r) + l2 * r * np.sin(r)
+def _l34a_slope(l1, l2_sup, k, r):
+    """(L1 - k) cos r + sup L2 r sin r with r = sqrt(k): the sup over x of L34a's slope.
 
-
-def check_positive_k(config: BoundaryConfig, k: float, lip: LipschitzData) -> AdmissibilityReport:
-    """Certify a positive shift: kernel-sign conditions plus slope conditions.
-
-    Conditions (margin >= 0 means pass, strict ones need > 0):
-      Dk>0     normalization positive
-      A1-2     sqrt(k) cos sqrt(k) - lambda2 sin(sqrt(k) eta) >= 0
-      A1-3     sqrt(k) - lambda1 sin(sqrt(k) xi) > 0
-      L34a     sup_x [(L1-k) cos sqrt(k) + L2(x) sqrt(k) sin sqrt(k)] <= 0
-      L34b     (L1-k) + sup L2' <= 0
+    For 0 < r < pi/2, r sin r > 0, so the sup over x of
+    (L1 - k) cos r + L2(x) r sin r is taken where L2 is largest.
     """
-    if not (0.0 < k < PI2_OVER_4):
-        raise ValidationError("k out of regime: positive checks need 0 < k < pi^2/4, got %r" % k)
-    r = float(np.sqrt(k))
-    D = normalization_value(config, ShiftedOperator(k))
-    v2 = _KERNEL_SIGN["A1-2"](config, r)
-    v3 = _KERNEL_SIGN["A1-3"](config, r)
-    sup_a = _refined_extremum(_l34a_slope(lip.l1, lip.l2, k, r), SUP_XS)
-    val_b = (lip.l1 - k) + lip.l2prime_sup
-    conditions = [
-        Condition("Dk>0", D > 0, D),
-        Condition("A1-2", v2 >= 0, float(v2)),
-        Condition("A1-3", v3 > 0, float(v3)),
-        Condition("L34a", sup_a <= 0, -sup_a),
-        Condition("L34b", val_b <= 0, -float(val_b)),
-    ]
-    return AdmissibilityReport(
-        k=k, regime=Regime.POSITIVE_K, conditions=conditions,
-        admissible=all(c.ok for c in conditions),
-    )
+    return (l1 - k) * np.cos(r) + l2_sup * r * np.sin(r)
 
 
-def check_negative_k(config: BoundaryConfig, k: float, lip: LipschitzData) -> AdmissibilityReport:
-    """Certify a negative shift.
-
-    Conditions:
-      A'1-1    t sinh t - lambda2 cosh(t eta) >= 0, t = sqrt(|k|)
-      A'1-2    t sinh(t xi) + (lambda1 - t) cosh(t xi) <= 0
-      A'1-3    t - lambda1 cosh(t xi) > 0
-      Dk'>0    normalization positive
-      L55a     (L1 + k) + sup_x [L2'(x) + L2(x) t] <= 0
-      A'2      k <= min{-L1, -lambda1^2, (L1 + lambda1 sup L2)/(1 - sup L2),
-               -sup_x [L1 + L2' + L2^2/2 + (L2/2) sqrt(L2^2 + 4(L1 + L2'))]}
-               (the ratio component only applies when 1 - sup L2 > 0)
+def _a2_bound(config, lip):
+    """A'2's bound on k, with its components and sup term; it does not depend on k.
 
     A negative L2^2 + 4(L1 + L2') somewhere (possible only where L2' < 0)
-    leaves the A'2 bound undefined and raises ValidationError.
+    leaves the bound undefined and raises ValidationError.
     """
-    if k >= 0:
-        raise ValidationError("k out of regime: negative checks need k < 0, got %r" % k)
-    op = ShiftedOperator(k)  # rejects a non-finite k before any margin is computed
-    t = float(np.sqrt(-k))
-    l1b, l2b = config.lambda1, config.lambda2
-    v1 = t * np.sinh(t) - l2b * np.cosh(t * config.eta)
-    q2 = _KERNEL_SIGN["A'1-2"](config, t)
-    v3 = _KERNEL_SIGN["A'1-3"](config, t)
-    D = normalization_value(config, op)
     l2v, l2pv = lip.l2, lip.l2prime
-    sup_slope = _refined_extremum(l2pv + l2v * t, SUP_XS)
-    val_55a = (lip.l1 + k) + sup_slope
     disc = l2v ** 2 + 4 * (lip.l1 + l2pv)
     if np.any(disc < 0):
         raise ValidationError(
             "A'2 is undefined: L2^2 + 4(L1 + L2') < 0 at x = %r"
             % float(SUP_XS[np.argmax(disc < 0)]))
-    comb = lip.l1 + l2pv + 0.5 * l2v ** 2 + 0.5 * l2v * np.sqrt(disc)
-    sup4 = _refined_extremum(comb, SUP_XS)
+    sup4 = _refined_extremum(lip.l1 + l2pv + 0.5 * l2v ** 2 + 0.5 * l2v * np.sqrt(disc), SUP_XS)
     components = {
         "neg_l1": -lip.l1,
-        "neg_lambda1_sq": -l1b ** 2,
-        "ratio": ((lip.l1 + l1b * lip.l2_sup) / (1 - lip.l2_sup)
+        "neg_lambda1_sq": -config.lambda1 ** 2,
+        "ratio": ((lip.l1 + config.lambda1 * lip.l2_sup) / (1 - lip.l2_sup)
                   if 1 - lip.l2_sup > 0 else None),
         "neg_sup_combined": -sup4,
     }
     bound = min(v for v in components.values() if v is not None)
-    conditions = [
-        Condition("A'1-1", v1 >= 0, float(v1)),
-        Condition("A'1-2", q2 <= 0, -float(q2)),
-        Condition("A'1-3", v3 > 0, float(v3)),
-        Condition("Dk'>0", D > 0, D),
-        Condition("L55a", val_55a <= 0, -float(val_55a)),
-        Condition("A'2", k <= bound, float(bound - k)),
-    ]
-    return AdmissibilityReport(
-        k=k, regime=Regime.NEGATIVE_K, conditions=conditions,
-        admissible=all(c.ok for c in conditions),
-        extras={"a2_components": components, "a2_bound": bound, "a2_sup_term": sup4},
-    )
+    return {"a2_components": components, "a2_bound": bound, "a2_sup_term": sup4}
+
+
+def margin_table(config: BoundaryConfig, lip: LipschitzData, ks):
+    """Every admissibility condition of one regime as a margin over the shifts ks.
+
+    ks is a 1-d array of shifts of one sign; ShiftedOperator checks each k
+    as its D is computed, before any other margin. Returns ({id: (ok,
+    margin)}, extras), ok and margin with one entry per k, the ids in
+    report order. Each margin is its condition's inequality moved to one
+    side, signed so that it passes on margin > 0 (Dk>0, A1-3, A'1-3, Dk'>0)
+    or margin >= 0 (the rest); r = sqrt(|k|). extras is _a2_bound's for
+    k < 0, else empty.
+    """
+    ks = np.asarray(ks, float)
+    D = np.array([normalization_value(config, ShiftedOperator(float(k))) for k in ks])
+    r = np.sqrt(np.abs(ks))
+    if ks[0] > 0:
+        extras = {}
+        margins = {
+            "Dk>0": D,
+            "A1-2": _KERNEL_SIGN["A1-2"](config, r),
+            "A1-3": _KERNEL_SIGN["A1-3"](config, r),
+            "L34a": -_l34a_slope(lip.l1, lip.l2_sup, ks, r),
+            "L34b": -((lip.l1 - ks) + lip.l2prime_sup),
+        }
+    else:
+        extras = _a2_bound(config, lip)
+        sup_slope = np.array([_refined_extremum(lip.l2prime + lip.l2 * t, SUP_XS)
+                              for t in r.tolist()])
+        margins = {
+            "A'1-1": r * np.sinh(r) - config.lambda2 * np.cosh(r * config.eta),
+            "A'1-2": -_KERNEL_SIGN["A'1-2"](config, r),
+            "A'1-3": _KERNEL_SIGN["A'1-3"](config, r),
+            "Dk'>0": D,
+            "L55a": -((lip.l1 + ks) + sup_slope),
+            "A'2": extras["a2_bound"] - ks,
+        }
+    return {cid: (m > 0 if cid in _STRICT else m >= 0, m)
+            for cid, m in margins.items()}, extras
+
+
+def _report(config, k, lip, regime):
+    """The AdmissibilityReport of one k, read off its one-row margin_table."""
+    table, extras = margin_table(config, lip, [k])
+    conditions = [Condition(cid, ok[0], margin[0]) for cid, (ok, margin) in table.items()]
+    return AdmissibilityReport(k=k, regime=regime, conditions=conditions,
+                               admissible=all(c.ok for c in conditions), extras=extras)
+
+
+def check_positive_k(config: BoundaryConfig, k: float, lip: LipschitzData) -> AdmissibilityReport:
+    """Certify a positive shift: the Dk>0, A1-2, A1-3, L34a and L34b rows of margin_table.
+
+    k must lie in (0, pi^2/4), or ValidationError is raised.
+    """
+    if not (0.0 < k < PI2_OVER_4):
+        raise ValidationError("k out of regime: positive checks need 0 < k < pi^2/4, got %r" % k)
+    return _report(config, k, lip, Regime.POSITIVE_K)
+
+
+def check_negative_k(config: BoundaryConfig, k: float, lip: LipschitzData) -> AdmissibilityReport:
+    """Certify a negative shift: the A'1-1 to A'2 rows of margin_table.
+
+    k must be negative, or ValidationError is raised; so is a non-finite k
+    (before any margin is computed) and an undefined A'2 bound. extras
+    carries the A'2 bound, its components and sup term.
+    """
+    if k >= 0:
+        raise ValidationError("k out of regime: negative checks need k < 0, got %r" % k)
+    return _report(config, k, lip, Regime.NEGATIVE_K)
 
 
 def check_k(config: BoundaryConfig, k: float, lip: LipschitzData) -> AdmissibilityReport:
@@ -298,45 +311,34 @@ def scan_k(config: BoundaryConfig, lip: LipschitzData, regime, k_lo: float,
     """Uniform admissibility scan with bisection-refined interval endpoints.
 
     Returns a list of (lo, hi) pairs, the maximal admissible subintervals of
-    [k_lo, k_hi] sampled at `steps` points and refined to 1e-4 in k.
+    [k_lo, k_hi] sampled at `steps` points (one margin_table) and refined to
+    1e-4 in k by bisection on check_k.
     """
     _regime_for_range(regime, k_lo, k_hi)
     if not (k_lo < k_hi):
         raise ValidationError("empty scan range: k_lo=%r k_hi=%r" % (k_lo, k_hi))
-    if steps < 2:
-        raise ValidationError("scan needs at least 2 steps, got %r" % steps)
-
-    def admissible(k):
-        return check_k(config, k, lip).admissible
-
+    if not 2 <= steps <= MAX_SCAN_STEPS:
+        raise ValidationError("scan needs 2 to %d steps, got %r" % (MAX_SCAN_STEPS, steps))
     ks = np.linspace(k_lo, k_hi, int(steps))
-    flags = np.array([admissible(k) for k in ks])
+    table, _ = margin_table(config, lip, ks)
+    flags = np.logical_and.reduce([ok for ok, _ in table.values()])
+    # runs of admissible samples start at the even and end at the odd edges
+    edges = np.flatnonzero(np.diff(np.r_[False, flags, False]))
 
     def refine(good, bad):
         # shrink [good, bad) toward the admissibility boundary
         while abs(bad - good) > SCAN_REFINE_TOL:
             mid = 0.5 * (good + bad)
-            if admissible(mid):
+            if check_k(config, mid, lip).admissible:
                 good = mid
             else:
                 bad = mid
-        return good
+        return float(good)
 
-    intervals = []
-    i = 0
-    n = len(ks)
-    while i < n:
-        if not flags[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and flags[j + 1]:
-            j += 1
-        lo = float(ks[i]) if i == 0 else float(refine(ks[i], ks[i - 1]))
-        hi = float(ks[j]) if j == n - 1 else float(refine(ks[j], ks[j + 1]))
-        intervals.append((lo, hi))
-        i = j + 1
-    return intervals
+    last = len(ks) - 1
+    return [(float(ks[i]) if i == 0 else refine(ks[i], ks[i - 1]),
+             float(ks[j]) if j == last else refine(ks[j], ks[j + 1]))
+            for i, j in zip(edges[::2], edges[1::2] - 1)]
 
 
 def _bracket_box(problem, n):

@@ -17,10 +17,10 @@ import time
 import numpy as np
 
 from ._version import __version__
-from .admissibility import check_k, scan_k
+from .admissibility import check_k, margin_table, scan_k
 from .errors import NumericalError, ValidationError
 from .kernel import Regime, ShiftedOperator, kernel_functions
-from .linear_bvp import GridFunction, build_grid, get_solver
+from .linear_bvp import MAX_GRID_N, GridFunction, build_grid, get_solver
 from .monotone import require_shift_sign
 from .monotone import run as run_iteration
 from .oracle import fd_linear, fd_nonlinear
@@ -50,10 +50,11 @@ def _csv_text(header, rows) -> str:
 
 
 def _write(out_dir, name, text):
+    """Write text, a string or an iterable of string chunks, to out_dir/name."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
     return path
 
 
@@ -112,12 +113,10 @@ def cmd_scan_k(args):
     }
     sys.stdout.write(_json_text(payload))
     if args.out:
-        rows = []
-        for k in np.linspace(lo, hi, steps).tolist():
-            report = check_k(config.boundary_config, k, problem.lip)
-            for cond in report.conditions:
-                rows.append((k, cond.cid, float(cond.margin),
-                             "true" if cond.ok else "false"))
+        ks = np.linspace(lo, hi, steps)
+        table, _ = margin_table(config.boundary_config, problem.lip, ks)
+        rows = [(k, cid, float(margin[i]), "true" if ok[i] else "false")
+                for i, k in enumerate(ks.tolist()) for cid, (ok, margin) in table.items()]
         _write(args.out, "scan_margins.csv",
                _csv_text(("k", "condition", "margin", "pass"), rows))
         _write(args.out, "scan_intervals.json", _json_text(payload))
@@ -140,13 +139,13 @@ def _trace_csv(trace):
 
 
 def _iterates_csv(trace):
-    rows = []
-    xs = trace.nodes
+    """iterates.csv as chunks: the header, then the rows of one level at a time."""
+    yield "x,value,series\n"
+    xs = [repr(x) + "," for x in trace.nodes.tolist()]
     for label, iterates in (("c", trace.iterates_lower), ("d", trace.iterates_upper)):
         for idx, (u, _) in enumerate(iterates):
-            series = "%s%d" % (label, idx)
-            rows.extend((float(x), float(v), series) for x, v in zip(xs, u))
-    return _csv_text(("x", "value", "series"), rows)
+            end = ",%s%d\n" % (label, idx)
+            yield "".join(x + repr(v) + end for x, v in zip(xs, u.tolist()))
 
 
 def cmd_solve(args):
@@ -173,8 +172,9 @@ def cmd_greens_dump(args):
     k = _pick_k(config, args.k)
     op = ShiftedOperator(k)
     m = args.grid_n if args.grid_n is not None else 101
-    if m < 2:
-        raise ValidationError("greens-dump needs a grid of at least 2 points")
+    if not 2 <= m <= MAX_GRID_N:
+        raise ValidationError("greens-dump needs a grid of 2 to %d points, got %r"
+                              % (MAX_GRID_N, m))
     fns = kernel_functions(config.boundary_config, op)
     pts = np.linspace(0.0, 1.0, m)
     x, s = pts[None, :], pts[:, None]  # rows run s outer, x inner

@@ -20,6 +20,8 @@ from .errors import ValidationError
 from .kernel import BoundaryConfig, ShiftedOperator, kernel_functions
 
 NODE_MATCH_TOL = 1e-12
+# the most nodes a grid may have
+MAX_GRID_N = 10 ** 6
 
 
 @dataclass
@@ -50,8 +52,8 @@ def build_grid(n: int, xi: float, eta: float) -> np.ndarray:
     non-uniform). Nodes 0 and n-1 and a node already holding the other
     point never move, so xi < h/4, or 0 < eta - xi < h/4, inserts instead.
     """
-    if n < 5:
-        raise ValidationError("grid needs at least 5 nodes, got %r" % n)
+    if not 5 <= n <= MAX_GRID_N:
+        raise ValidationError("grid needs 5 to %d nodes, got %r" % (MAX_GRID_N, n))
     xs = np.linspace(0.0, 1.0, int(n))
     h = 1.0 / (int(n) - 1)
     for p, other in ((xi, eta), (eta, xi)):

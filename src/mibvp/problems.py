@@ -9,10 +9,11 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .admissibility import LipschitzData, estimate_lipschitz, nagumo_bound
+from .admissibility import MAX_SCAN_STEPS, LipschitzData, estimate_lipschitz, nagumo_bound
 from .errors import ValidationError
 from .expressions import Expression, parse_expression, require_variables
 from .kernel import PI2_OVER_4, BoundaryConfig
+from .linear_bvp import MAX_GRID_N
 from .monotone import ORDERINGS, NonlinearProblem, require_shift_sign
 
 _TOP_KEYS = {"boundary", "psi", "lower0", "upper0", "ordering", "k",
@@ -109,8 +110,8 @@ class ProblemConfig:
             steps = _require(k, "steps", int, "k")
             if not lo < hi:
                 raise ValidationError("k range needs lo < hi")
-            if steps < 2:
-                raise ValidationError("k range needs steps >= 2")
+            if not 2 <= steps <= MAX_SCAN_STEPS:
+                raise ValidationError("k range needs 2 <= steps <= %d" % MAX_SCAN_STEPS)
             k = {"lo": lo, "hi": hi, "steps": int(steps)}
             shifts = (lo, hi)
         elif isinstance(k, _NUMBER):  # _finite_k rejects a boolean
@@ -122,8 +123,8 @@ class ProblemConfig:
             require_shift_sign(ordering, shift)
 
         grid_n = _require(data, "grid_n", int, "config")
-        if grid_n < 5:
-            raise ValidationError("grid_n must be at least 5")
+        if not 5 <= grid_n <= MAX_GRID_N:
+            raise ValidationError("grid_n must be 5 to %d" % MAX_GRID_N)
         tol = _require(data, "tol", _NUMBER, "config")
         if not 0 < tol < float("inf"):
             raise ValidationError("tol must be positive and finite")

@@ -212,6 +212,57 @@ class TestScanK:
             scan_k(CFG1, LIP1, "positive", -0.5, 1.0, 10)
         with pytest.raises(ValidationError):
             scan_k(CFG2, LIP2, "negative", -1.0, 0.5, 10)
+        with pytest.raises(ValidationError, match="scan needs 2 to 1000000 steps"):
+            scan_k(CFG2, LIP2, "negative", -10.0, -0.01, 10 ** 30)
+
+
+# the sampled scan of each bundled config: the problem fixture, lo, hi, steps
+BUNDLED_SCANS = [("ex1_problem", 1e-3, PI2_OVER_4 * 0.9999, 400),
+                 ("ex2_problem", -10.0, -0.01, 400)]
+# L2 profiles for the L34a identity: example1's, and four that peak inside
+# [0, 1], bend or are nonlinear
+L34A_PROFILES = ["x*exp(0.2154)/195", "x*(1.2-x)/3", "sin(3*x)/5", "x*exp(-4*x)", "0.3*x^2"]
+
+
+class TestMarginTable:
+    @pytest.mark.parametrize("fixture, lo, hi, steps", BUNDLED_SCANS)
+    def test_rows_equal_check_reports(self, request, fixture, lo, hi, steps):
+        problem = request.getfixturevalue(fixture)
+        ks = np.linspace(lo, hi, steps)
+        table, extras = admissibility.margin_table(problem.config, problem.lip, ks)
+        for i, k in enumerate(ks):
+            report = admissibility.check_k(problem.config, k, problem.lip)
+            assert list(table) == [c.cid for c in report.conditions]
+            for c in report.conditions:
+                ok, margin = table[c.cid]
+                assert (bool(ok[i]), float(margin[i])) == (c.ok, c.margin), (k, c.cid)
+            assert extras == report.extras
+
+    @pytest.mark.parametrize("l2", L34A_PROFILES)
+    def test_l34a_at_sup_l2_equals_the_sampled_sup(self, l2):
+        # r sin r > 0 on the positive regime, so the sup over x of the L34a
+        # slope sits where L2 is largest
+        lip = LipschitzData.from_expression(0.47331, parse_expression(l2))
+        for k in np.linspace(1e-3, PI2_OVER_4 * 0.9999, 400):
+            r = np.sqrt(k)
+            sampled = admissibility._refined_extremum(
+                (lip.l1 - k) * np.cos(r) + lip.l2 * r * np.sin(r), admissibility.SUP_XS)
+            at_sup = admissibility._l34a_slope(lip.l1, lip.l2_sup, k, r)
+            assert at_sup == pytest.approx(sampled, rel=1e-12, abs=1e-15), k
+            assert (at_sup <= 0) == (sampled <= 0), k
+
+    @pytest.mark.parametrize("fixture, lo, hi, steps", BUNDLED_SCANS)
+    def test_scan_reads_the_table(self, request, monkeypatch, fixture, lo, hi, steps):
+        # the samples come from one table; only endpoint bisection calls a check
+        problem = request.getfixturevalue(fixture)
+        calls = []
+        for name in ("check_positive_k", "check_negative_k"):
+            check = getattr(admissibility, name)
+            monkeypatch.setattr(admissibility, name,
+                                lambda *a, check=check: calls.append(a) or check(*a))
+        regime = "positive" if lo > 0 else "negative"
+        assert len(scan_k(problem.config, problem.lip, regime, lo, hi, steps)) == 1
+        assert 0 < len(calls) <= 20
 
 
 class TestEndpointSlopeExtension:

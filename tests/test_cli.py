@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from mibvp import cli
+from mibvp.admissibility import check_k
 from mibvp.cli import main
 from mibvp.kernel import ShiftedOperator, green_eval
-from mibvp.problems import EXAMPLE1, EXAMPLE2, ProblemConfig
+from mibvp.monotone import run
+from mibvp.problems import EXAMPLE1, EXAMPLE2, ProblemConfig, build_problem
 
 
 def _config_file(tmp_path, data, name="cfg.json"):
@@ -110,6 +113,21 @@ class TestScanK:
         assert intervals["steps"] == 400
         assert (out / "run_meta.json").exists()
 
+    @pytest.mark.parametrize("name", ["example1.json", "example2.json"])
+    def test_margins_equal_a_check_per_shift(self, problems_dir, tmp_path, capsys, name):
+        # reference: one check_k report per sampled shift, written row by row
+        out = tmp_path / "scan"
+        assert main(["scan-k", str(problems_dir / name), "--out", str(out)]) == 0
+        capsys.readouterr()
+        config = ProblemConfig.load(str(problems_dir / name))
+        lip = build_problem(config).lip
+        lo, hi, steps = config.scan_range()
+        lines = ["k,condition,margin,pass"]
+        for k in np.linspace(lo, hi, steps).tolist():
+            for c in check_k(config.boundary_config, k, lip).conditions:
+                lines.append("%r,%s,%r,%s" % (k, c.cid, c.margin, "true" if c.ok else "false"))
+        assert (out / "scan_margins.csv").read_text() == "\n".join(lines) + "\n"
+
 
 class TestSolve:
     def test_artifacts_and_flags(self, problems_dir, tmp_path, capsys):
@@ -151,6 +169,15 @@ class TestSolve:
         assert main(["solve", _ex2(problems_dir)]) == 1
         capsys.readouterr()
 
+    def test_streamed_iterates_equal_a_plain_writer(self, ex1_problem):
+        trace = run(ex1_problem, 0.49, max_iter=300, tol=1e-8, grid_n=21)
+        lines = ["x,value,series"]
+        for label, iterates in (("c", trace.iterates_lower), ("d", trace.iterates_upper)):
+            for idx, (u, _) in enumerate(iterates):
+                lines.extend("%r,%r,%s%d" % (float(x), float(v), label, idx)
+                             for x, v in zip(trace.nodes, u))
+        assert "".join(cli._iterates_csv(trace)) == "\n".join(lines) + "\n"
+
     @pytest.mark.parametrize("config, k", [("example1.json", "-2"), ("example2.json", "0.5")])
     def test_shift_sign_against_ordering_exits_1(self, problems_dir, capsys, config, k):
         assert main(["solve", str(problems_dir / config), "--k", k]) == 1
@@ -175,6 +202,27 @@ class TestSolve:
         cfg = _config_file(tmp_path, data)
         assert main(["solve", cfg]) == 1
         assert "unknown identifier" in capsys.readouterr().err
+
+
+class TestSizeLimits:
+    # each used to print numpy's "Maximum allowed size exceeded" traceback
+    @pytest.mark.parametrize("command", ["solve", "oracle-compare", "greens-dump"])
+    def test_huge_grid_flag_exits_1(self, problems_dir, capsys, command):
+        assert main([command, _ex1(problems_dir), "--grid-n", str(10 ** 30)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "to 1000000" in captured.err and "validation error" in captured.err
+
+    @pytest.mark.parametrize("command, data", [
+        ("solve", {**EXAMPLE1, "grid_n": 10 ** 400}),
+        ("scan-k", {**EXAMPLE2, "k": {"lo": -10.0, "hi": -0.01, "steps": 10 ** 400}}),
+    ], ids=["grid_n", "steps"])
+    def test_huge_config_size_exits_1(self, tmp_path, capsys, command, data):
+        # json.load reads the 1 followed by 400 zeros as a Python int
+        assert main([command, _config_file(tmp_path, data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "validation error" in captured.err
 
 
 class TestGreensDump:

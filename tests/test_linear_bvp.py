@@ -23,6 +23,11 @@ class TestBuildGrid:
         with pytest.raises(ValidationError):
             build_grid(4, 0.1, 0.2)
 
+    def test_too_many_nodes(self):
+        # numpy's "Maximum allowed size exceeded" used to escape from linspace
+        with pytest.raises(ValidationError, match="grid needs 5 to 1000000 nodes"):
+            build_grid(10 ** 30, 0.1, 0.2)
+
     def test_snap_keeps_count(self):
         xs = build_grid(501, 0.1, 0.2)
         assert xs.size == 501

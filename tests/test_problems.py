@@ -132,6 +132,10 @@ BAD_CONFIGS = [
     ("k range unknown key", _corrupt(EXAMPLE2, ["k"], {"lo": -10.0, "hi": -0.01, "steps": 5, "mid": 1})),
     ("grid too small", _corrupt(EXAMPLE1, ["grid_n"], 4)),
     ("grid wrong type", _corrupt(EXAMPLE1, ["grid_n"], 501.0)),
+    ("grid too large", _corrupt(EXAMPLE1, ["grid_n"], 10 ** 6 + 1)),
+    ("grid too large to allocate", _corrupt(EXAMPLE1, ["grid_n"], 10 ** 400)),
+    ("k range too many steps",
+     _corrupt(EXAMPLE2, ["k"], {"lo": -10.0, "hi": -0.01, "steps": 10 ** 6 + 1})),
     ("tol zero", _corrupt(EXAMPLE1, ["tol"], 0.0)),
     ("tol negative", _corrupt(EXAMPLE1, ["tol"], -1e-8)),
     ("tol infinite", _corrupt(EXAMPLE1, ["tol"], float("inf"))),
