@@ -444,7 +444,7 @@ def _integrate(f, a, b, breaks):
 
         breaks = [c / (x - a + c) for x in breaks if x > a]
         a, b = 0.0, 1.0
-    edges = np.unique(np.r_[a, [x for x in breaks if a < x < b], b])
+    edges = np.array(sorted({a, b, *(x for x in breaks if a < x < b)}))
     lo, hi = edges[:-1], edges[1:]
     est = _panel_sums(f, lo, hi)
     value = error = 0.0

@@ -20,11 +20,13 @@ from ._version import __version__
 from .admissibility import check_k, margin_table, scan_k
 from .errors import NumericalError, ValidationError
 from .kernel import Regime, ShiftedOperator, kernel_functions
-from .linear_bvp import MAX_GRID_N, GridFunction, build_grid, get_solver
+from .linear_bvp import GridFunction, build_grid, get_solver
 from .monotone import require_shift_sign
 from .monotone import run as run_iteration
 from .oracle import fd_linear, fd_nonlinear
 from .problems import ProblemConfig, build_problem
+
+MAX_DUMP_N = 1000  # greens-dump writes m^2 rows: 76 MB of CSV, a 550 MB peak
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,7 +154,8 @@ def cmd_solve(args):
     config = ProblemConfig.load(args.config)
     problem = build_problem(config)
     k = _pick_k(config, args.k)
-    grid_n = args.grid_n if args.grid_n is not None else config.grid_n
+    # main names the grid if it runs out of memory
+    grid_n = args.grid_n = args.grid_n if args.grid_n is not None else config.grid_n
     tol = args.tol if args.tol is not None else config.tol
     max_iter = args.max_iter if args.max_iter is not None else config.max_iter
     trace = run_iteration(problem, k, max_iter=max_iter, tol=tol, grid_n=grid_n)
@@ -172,9 +175,9 @@ def cmd_greens_dump(args):
     k = _pick_k(config, args.k)
     op = ShiftedOperator(k)
     m = args.grid_n if args.grid_n is not None else 101
-    if not 2 <= m <= MAX_GRID_N:
+    if not 2 <= m <= MAX_DUMP_N:
         raise ValidationError("greens-dump needs a grid of 2 to %d points, got %r"
-                              % (MAX_GRID_N, m))
+                              % (MAX_DUMP_N, m))
     fns = kernel_functions(config.boundary_config, op)
     pts = np.linspace(0.0, 1.0, m)
     x, s = pts[None, :], pts[:, None]  # rows run s outer, x inner
@@ -198,7 +201,7 @@ def cmd_oracle_compare(args):
     problem = build_problem(config)
     k = _pick_k(config, args.k)
     require_shift_sign(problem.ordering, k)  # before the linear comparison builds anything
-    grid_n = args.grid_n if args.grid_n is not None else config.grid_n
+    grid_n = args.grid_n = args.grid_n if args.grid_n is not None else config.grid_n
     boundary = config.boundary_config
     nodes = build_grid(grid_n, boundary.xi, boundary.eta)
 
@@ -298,6 +301,7 @@ def _build_parser():
 
 def main(argv=None) -> int:
     started = time.time()
+    args = None
     try:
         args = _build_parser().parse_args(argv)
         status = args.func(args)
@@ -309,6 +313,10 @@ def main(argv=None) -> int:
         return 1
     except NumericalError as exc:
         print("numerical error: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("numerical error: not enough memory for grid_n=%s"
+              % getattr(args, "grid_n", None), file=sys.stderr)
         return 2
 
 

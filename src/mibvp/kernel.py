@@ -9,14 +9,14 @@ left solution phi(z) = C(z) + lambda1 S(z - xi), the right solution
 psi(z) = C(z - 1) + lambda2 S(z - eta) and the scalar
 W = k S(1) + lambda2 C(eta) + lambda1 (lambda2 S(eta - xi) - C(xi - 1)).
 
-G(x,s) has six branches, keyed by the s-region (s <= xi, xi <= s <= eta,
-eta <= s) crossed with the side x <= s ("below" the diagonal) versus x > s
-("above"), each divided by W. Branch values are continuous across x = s and
-across the s = xi and s = eta seams; the x-derivative jumps by exactly +1
-across x = s, consistent with -G_xx - k G = delta(x - s). G and dG/dx
-follow one rule: a point with x <= s takes the below branch, so on the
-diagonal dG/dx is the limit from below and the limit from above is one
-more. The boundary term is -phi/W.
+G(x,s) has six branches, keyed by the s-region (s <= xi, xi < s <= eta,
+eta < s) and the side, x <= s ("below" the diagonal) or x > s ("above").
+KernelFunctions.terms lists each once, as x-factor times s-basis terms
+over W; G and dG/dx both sum it, and _c_and_s gives the pair that splits
+its S(s - x) and S(x - s) parts. Branch values are continuous across
+x = s and the s = xi and s = eta seams; dG/dx jumps by exactly +1 across
+x = s, as -G_xx - k G = delta(x - s) requires, and at x = s takes the
+below branch, the limit from below. The boundary term is -phi/W.
 
 The below branch satisfies the left boundary identity
 G_x(0,s) = lambda1*G(xi,s) pointwise and the above branch the right one,
@@ -112,60 +112,55 @@ class KernelSample:
 class KernelFunctions:
     """Vectorized kernel closures for one (config, operator) pair.
 
-    value(x, s) evaluates G and dvalue_dx(x, s) its x-derivative, both with
-    the below branch where x <= s and the above branch elsewhere;
-    boundary_term(x) is the complementary-function factor multiplying the
-    boundary constant, boundary_term_dx its derivative. Factors of x alone
-    or s alone are evaluated on their own axis and broadcast only when
-    multiplied together. A resonant shift raises DegenerateKernelError.
+    terms lists each branch of W*G once, keyed by (above, region): above is
+    x > s, and region 0, 1, 2 is s <= xi, xi < s <= eta, s > eta. A branch
+    is a sum of terms (f, df, b), each f(x)*b(s) with df = f'. value(x, s)
+    and dvalue_dx(x, s) sum f*b or df*b over the branch (x, s) falls in, the
+    below one where x <= s, and divide by W. boundary_term(x) multiplies the
+    boundary constant and boundary_term_dx is its derivative. A resonant
+    shift raises DegenerateKernelError.
     """
 
     def __init__(self, config: BoundaryConfig, op: ShiftedOperator):
         normalization(config, op)
-        self.config = config
-        self.op = op
-        xi, eta = config.xi, config.eta
-        l1, l2 = config.lambda1, config.lambda2
-        k = op.k
-        C, S = _c_and_s(op)
+        xi, eta, l1, l2 = config.xi, config.eta, config.lambda1, config.lambda2
+        C, S, y1, dy1 = _c_and_s(op)
         W = _scaled_normalization(config, op)
+        dC = lambda z: -op.k * S(z)  # noqa: E731
+        C1, dC1 = (lambda z: C(z - 1)), (lambda z: dC(z - 1))
         # phi meets the left boundary condition, psi the right one
         phi = lambda z: C(z) + l1 * S(z - xi)  # noqa: E731
-        dphi = lambda z: -k * S(z) + l1 * C(z - xi)  # noqa: E731
+        dphi = lambda z: dC(z) + l1 * C(z - xi)  # noqa: E731
         psi = lambda z: C(z - 1) + l2 * S(z - eta)  # noqa: E731
-        dpsi = lambda z: -k * S(z - 1) + l2 * C(z - eta)  # noqa: E731
+        dpsi = lambda z: dC(z - 1) + l2 * C(z - eta)  # noqa: E731
         a1 = l1 * (l2 * S(eta - xi) - C(xi - 1))  # left coupling at s <= xi
-        a3 = l2 * phi(eta)  # right coupling at s >= eta
+        a3 = l2 * phi(eta)  # right coupling at s > eta
+        # a1 S(s - x) and a3 S(x - s) as y1(b) S(a) - S(b) y1(a), larger term first
+        self.terms = {
+            (False, 0): ((C, dC, psi), (y1, dy1, lambda z: a1 * S(z)),
+                         (S, C, lambda z: -a1 * y1(z))),
+            (False, 1): ((phi, dphi, psi),),
+            (False, 2): ((phi, dphi, C1),),
+            (True, 0): ((psi, dpsi, C),),
+            (True, 1): ((psi, dpsi, phi),),
+            (True, 2): ((C1, dC1, phi), (S, C, lambda z: a3 * y1(z)),
+                        (y1, dy1, lambda z: -a3 * S(z))),
+        }
 
-        def by_region(s, b1, b2, b3):
-            return np.where(s <= xi, b1, np.where(s <= eta, b2, b3))
-
-        def value(x, s):
+        def evaluate(x, s, part):
             x, s = np.asarray(x, float), np.asarray(s, float)
-            below = by_region(s, C(x) * psi(s) + a1 * S(s - x),
-                              phi(x) * psi(s), phi(x) * C(s - 1))
-            above = by_region(s, psi(x) * C(s), psi(x) * phi(s),
-                              C(x - 1) * phi(s) + a3 * S(x - s))
-            return np.where(x <= s, below, above) / W
 
-        def dvalue_dx(x, s):
-            x, s = np.asarray(x, float), np.asarray(s, float)
-            below = by_region(s, -k * S(x) * psi(s) - a1 * C(s - x),
-                              dphi(x) * psi(s), dphi(x) * C(s - 1))
-            above = by_region(s, dpsi(x) * C(s), dpsi(x) * phi(s),
-                              -k * S(x - 1) * phi(s) + a3 * C(x - s))
-            return np.where(x <= s, below, above) / W
+            def side(above):
+                b0, b1, b2 = (sum(t[part](x) * t[2](s) for t in self.terms[above, region])
+                              for region in range(3))
+                return np.where(s <= xi, b0, np.where(s <= eta, b1, b2))
 
-        def boundary_term(x):
-            return -phi(np.asarray(x, float)) / W
+            return np.where(x <= s, side(False), side(True)) / W
 
-        def boundary_term_dx(x):
-            return -dphi(np.asarray(x, float)) / W
-
-        self.value = value
-        self.dvalue_dx = dvalue_dx
-        self.boundary_term = boundary_term
-        self.boundary_term_dx = boundary_term_dx
+        self.value = lambda x, s: evaluate(x, s, 0)
+        self.dvalue_dx = lambda x, s: evaluate(x, s, 1)
+        self.boundary_term = lambda x: -phi(np.asarray(x, float)) / W
+        self.boundary_term_dx = lambda x: -dphi(np.asarray(x, float)) / W
 
 
 def kernel_functions(config: BoundaryConfig, op: ShiftedOperator) -> KernelFunctions:
@@ -174,21 +169,26 @@ def kernel_functions(config: BoundaryConfig, op: ShiftedOperator) -> KernelFunct
 
 
 def _c_and_s(op: ShiftedOperator):
-    """C(z) = cos(sqrt(k) z) and S(z) = sin(sqrt(k) z)/sqrt(k), as real functions.
+    """C(z) = cos(sqrt(k) z), S(z) = sin(sqrt(k) z)/sqrt(k), y1 and y1'.
 
-    For k < 0 these are cosh(t z) and sinh(t z)/t, t = sqrt(|k|); either way
-    C' = -k S and S' = C. This is the only place the kernel branches on the
-    sign of k.
+    For k < 0, C and S are cosh(t z) and sinh(t z)/t, t = sqrt(|k|); either
+    way C' = -k S and S' = C. y1 is C for k > 0 and exp(-t z) for k < 0.
+    Either way y1 S' - y1' S = 1, so S(a - b) = y1(b) S(a) - S(b) y1(a),
+    and for k < 0 neither product exceeds e^(t|a - b|)/t on [0, 1], where
+    C's products grow like e^(t(a + b)) and cancel. This is the only place
+    the kernel branches on the sign of k.
     """
     r = op.root
     if op.k > 0:
-        return (lambda z: np.cos(r * z)), (lambda z: np.sin(r * z) / r)
-    return (lambda z: np.cosh(r * z)), (lambda z: np.sinh(r * z) / r)
+        C, S = (lambda z: np.cos(r * z)), (lambda z: np.sin(r * z) / r)
+        return C, S, C, (lambda z: -op.k * S(z))
+    return (lambda z: np.cosh(r * z)), (lambda z: np.sinh(r * z) / r), \
+        (lambda z: np.exp(-r * z)), (lambda z: -r * np.exp(-r * z))
 
 
 def _scaled_normalization(config: BoundaryConfig, op: ShiftedOperator) -> float:
     """W, the divisor of every kernel branch and of the boundary term."""
-    C, S = _c_and_s(op)
+    C, S = _c_and_s(op)[:2]
     xi, eta = config.xi, config.eta
     l1, l2 = config.lambda1, config.lambda2
     return op.k * S(1.0) + l2 * C(eta) + l1 * (l2 * S(eta - xi) - C(xi - 1))

@@ -1,6 +1,10 @@
 import copy
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -211,7 +215,36 @@ class TestSizeLimits:
         assert main([command, _ex1(problems_dir), "--grid-n", str(10 ** 30)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "to 1000000" in captured.err and "validation error" in captured.err
+        cap = cli.MAX_DUMP_N if command == "greens-dump" else 10 ** 6
+        assert "to %d " % cap in captured.err and "validation error" in captured.err
+
+    def test_dump_above_its_cap_exits_1(self, problems_dir, capsys, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise RuntimeError("greens-dump tabulated a grid above its cap")
+
+        monkeypatch.setattr("mibvp.cli.kernel_functions", no_table)
+        argv = ["greens-dump", _ex1(problems_dir), "--grid-n", str(cli.MAX_DUMP_N + 1)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "validation error" in captured.err and "to %d " % cli.MAX_DUMP_N in captured.err
+
+    def test_out_of_memory_exits_2(self, problems_dir):
+        # a 10^6-node solve asks for 8 TB of kernel samples; the child caps its
+        # own address space at 400 MB, with one BLAS thread so numpy still loads
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+                  "from mibvp.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script, "solve", _ex1(problems_dir),
+                               "--grid-n", "1000000"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "numerical error: not enough memory for grid_n=1000000\n"
 
     @pytest.mark.parametrize("command, data", [
         ("solve", {**EXAMPLE1, "grid_n": 10 ** 400}),

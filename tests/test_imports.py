@@ -1,5 +1,8 @@
 """mibvp runs on numpy alone: no command loads scipy, and no source imports it.
 
+Nor does a command load numpy.ma, whose import np.unique triggers on its
+first call and which costs each process about 10 ms.
+
 The commands run in a fresh interpreter, so that nothing the test process
 has imported counts.
 """
@@ -19,7 +22,8 @@ SCRIPT = """
 import contextlib, io, json, sys
 
 def scipy_loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])
 
 import mibvp
 from mibvp.cli import main

@@ -10,6 +10,7 @@ from mibvp.kernel import (PI2_OVER_4, BoundaryConfig, Regime, ShiftedOperator,
                           green_dx_sign_check, green_eval, kernel_functions,
                           normalization, normalization_value)
 from mibvp.linear_bvp import build_grid, get_solver
+from mibvp.problems import EXAMPLE1, EXAMPLE2
 
 CFG1 = BoundaryConfig(0.1, 0.2, 2.0, 3.0)
 CFG2 = BoundaryConfig(0.2, 0.3, 0.25, 1.0 / 9.0)
@@ -199,6 +200,62 @@ def test_branch_values_pinned(cfg, op, pins):
     for (x, s), g, d in pins:
         assert float(fns.value(x, s)) == pytest.approx(g, rel=1e-13)
         assert float(fns.dvalue_dx(x, s)) == pytest.approx(d, rel=1e-13)
+
+
+def _reference_branches(cfg, op):
+    """G and dG/dx as (below, above) pairs, each of the six branches written
+    out in cos/sin or cosh/sinh, as a reference for the kernel's one table."""
+    xi, eta, l1, l2, k, r = cfg.xi, cfg.eta, cfg.lambda1, cfg.lambda2, op.k, op.root
+    if k > 0:
+        C, S = (lambda z: np.cos(r * z)), (lambda z: np.sin(r * z) / r)
+    else:
+        C, S = (lambda z: np.cosh(r * z)), (lambda z: np.sinh(r * z) / r)
+    phi = lambda z: C(z) + l1 * S(z - xi)  # noqa: E731
+    dphi = lambda z: -k * S(z) + l1 * C(z - xi)  # noqa: E731
+    psi = lambda z: C(z - 1) + l2 * S(z - eta)  # noqa: E731
+    dpsi = lambda z: -k * S(z - 1) + l2 * C(z - eta)  # noqa: E731
+    a1 = l1 * (l2 * S(eta - xi) - C(xi - 1))
+    a3 = l2 * phi(eta)
+    W = k * S(1.0) + l2 * C(eta) + a1
+
+    def by_region(s, b1, b2, b3):
+        return np.where(s <= xi, b1, np.where(s <= eta, b2, b3))
+
+    def value(x, s):
+        return (by_region(s, C(x) * psi(s) + a1 * S(s - x),
+                          phi(x) * psi(s), phi(x) * C(s - 1)) / W,
+                by_region(s, psi(x) * C(s), psi(x) * phi(s),
+                          C(x - 1) * phi(s) + a3 * S(x - s)) / W)
+
+    def dvalue_dx(x, s):
+        return (by_region(s, -k * S(x) * psi(s) - a1 * C(s - x),
+                          dphi(x) * psi(s), dphi(x) * C(s - 1)) / W,
+                by_region(s, dpsi(x) * C(s), dpsi(x) * phi(s),
+                          -k * S(x - 1) * phi(s) + a3 * C(x - s)) / W)
+
+    return value, dvalue_dx
+
+
+@pytest.mark.parametrize("example", [EXAMPLE1, EXAMPLE2], ids=["example1", "example2"])
+@pytest.mark.parametrize("k", [1e-26, -1e-26, 1e-12, 0.49, 2.4, -1e-12, -1e-6,
+                               -0.01, -2.0, -500.0, -1000.0])
+def test_table_matches_written_out_branches(example, k):
+    # the one branch table agrees with the six value and six dG/dx branches
+    # written out, down to k -> 0- where a pair divided by 2t would not
+    cfg, op = BoundaryConfig(**example["boundary"]), ShiftedOperator(k)
+    fns = kernel_functions(cfg, op)
+    pts = np.unique(np.r_[np.linspace(0.0, 1.0, 41), cfg.xi, cfg.eta])
+    X, S = pts[:, None], pts[None, :]
+    value, dvalue_dx = _reference_branches(cfg, op)
+    for got, ref in ((fns.value, value), (fns.dvalue_dx, dvalue_dx)):
+        below, above = ref(X, S)
+        expected = np.where(X <= S, below, above)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(got(X, S) - expected)) <= 1e-14 * scale
+    # a diagonal point takes the below branch, whose dG/dx is one less
+    below, above = dvalue_dx(pts, pts)
+    assert np.max(np.abs(fns.dvalue_dx(pts, pts) - below)) <= 1e-14 * scale
+    assert np.max(np.abs(above - below - 1.0)) <= 1e-9
 
 
 def test_kernel_continuous_across_regime_seam():
