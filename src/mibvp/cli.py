@@ -26,7 +26,7 @@ from .monotone import run as run_iteration
 from .oracle import fd_linear, fd_nonlinear
 from .problems import ProblemConfig, build_problem
 
-MAX_DUMP_N = 1000  # greens-dump writes m^2 rows: 76 MB of CSV, a 550 MB peak
+MAX_DUMP_N = 1000  # greens-dump writes m^2 rows: 76 MB of CSV, streamed row by row
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,14 +140,14 @@ def _trace_csv(trace):
     return _csv_text(header, rows)
 
 
-def _iterates_csv(trace):
-    """iterates.csv as chunks: the header, then the rows of one level at a time."""
+def _iterates_csv(nodes, levels):
+    """iterates.csv as chunks from run's (2, n) levels: the header, then one row at a time."""
     yield "x,value,series\n"
-    xs = [repr(x) + "," for x in trace.nodes.tolist()]
-    for label, iterates in (("c", trace.iterates_lower), ("d", trace.iterates_upper)):
-        for idx, (u, _) in enumerate(iterates):
+    xs = [repr(x) + "," for x in nodes.tolist()]
+    for row, label in enumerate("cd"):
+        for idx, u in enumerate(levels):
             end = ",%s%d\n" % (label, idx)
-            yield "".join(x + repr(v) + end for x, v in zip(xs, u.tolist()))
+            yield "".join(x + repr(v) + end for x, v in zip(xs, u[row].tolist()))
 
 
 def cmd_solve(args):
@@ -158,7 +158,9 @@ def cmd_solve(args):
     grid_n = args.grid_n = args.grid_n if args.grid_n is not None else config.grid_n
     tol = args.tol if args.tol is not None else config.tol
     max_iter = args.max_iter if args.max_iter is not None else config.max_iter
-    trace = run_iteration(problem, k, max_iter=max_iter, tol=tol, grid_n=grid_n)
+    levels = []  # a level can be a view that pins its du too, so keep a copy of u
+    trace = run_iteration(problem, k, max_iter=max_iter, tol=tol, grid_n=grid_n,
+                          on_level=(lambda u: levels.append(u.copy())) if args.out else None)
     if args.format == "csv":
         sys.stdout.write(_trace_csv(trace))
     else:
@@ -166,7 +168,7 @@ def cmd_solve(args):
     if args.out:
         _write(args.out, "trace.json", _json_text(trace.to_dict()))
         _write(args.out, "trace.csv", _trace_csv(trace))
-        _write(args.out, "iterates.csv", _iterates_csv(trace))
+        _write(args.out, "iterates.csv", _iterates_csv(trace.nodes, levels))
     return 0
 
 
@@ -183,16 +185,20 @@ def cmd_greens_dump(args):
     x, s = pts[None, :], pts[:, None]  # rows run s outer, x inner
     value = fns.value(x, s)
     dvalue = fns.dvalue_dx(x, s)
-    xs, ss = np.meshgrid(pts, pts)
-    rows = list(zip(xs.ravel().tolist(), ss.ravel().tolist(),
-                    value.ravel().tolist(), dvalue.ravel().tolist()))
-    text = _csv_text(("x", "s", "value", "dvalue_dx"), rows)
+    xs = [repr(x) + "," for x in pts.tolist()]
+
+    def chunks():  # the header, then one s row of text at a time
+        yield "x,s,value,dvalue_dx\n"
+        for mid, g_row, dg_row in zip(xs, value, dvalue):
+            yield "".join(x + mid + repr(g) + "," + repr(dg) + "\n"
+                          for x, g, dg in zip(xs, g_row.tolist(), dg_row.tolist()))
+
     if args.out:
-        _write(args.out, "greens.csv", text)
+        _write(args.out, "greens.csv", chunks())
         sys.stdout.write("wrote %d rows to %s\n"
-                         % (len(rows), os.path.join(args.out, "greens.csv")))
+                         % (m * m, os.path.join(args.out, "greens.csv")))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks())
     return 0
 
 

@@ -87,7 +87,6 @@ class LinearSolver:
     """
 
     def __init__(self, config: BoundaryConfig, op: ShiftedOperator, nodes):
-        self.config = config
         self.op = op
         self.nodes = np.asarray(nodes, float)
         fns = kernel_functions(config, op)

@@ -70,8 +70,8 @@ class NonlinearProblem:
 class IterationTrace:
     """Everything the iteration produced, flags included.
 
-    iterates_lower/upper hold (u, du) node arrays per level, level 0 being
-    the initial closed forms sampled on the grid. Transition flags
+    iterates_lower/upper hold the last level's (u, du) node arrays, as
+    one-element lists; run's on_level sees every level. Transition flags
     (monotone_*, step_moves_*, derivative_bound_*) have one entry per step;
     ordered has one entry per level. derivative_bound_* is None when no
     successful Nagumo bound was attached to the problem.
@@ -98,18 +98,8 @@ class IterationTrace:
     diverged: bool = False
     iterations: int = 0
 
-    @property
-    def step_moves(self):
-        return list(zip(self.step_moves_lower, self.step_moves_upper))
-
     def limit_lower(self):
-        return self._grid_pair(self.iterates_lower[-1])
-
-    def limit_upper(self):
-        return self._grid_pair(self.iterates_upper[-1])
-
-    def _grid_pair(self, level):
-        return tuple(GridFunction(self.nodes.copy(), v.copy()) for v in level)
+        return tuple(GridFunction(self.nodes.copy(), v.copy()) for v in self.iterates_lower[-1])
 
     def _record(self, name, pair):
         """Append pair[0] to the name_lower list and pair[1] to name_upper."""
@@ -161,7 +151,7 @@ def iterate_once(problem: NonlinearProblem, solver, u, du):
     return nxt[:, 0].reshape(g.shape), nxt[:, 1].reshape(g.shape)
 
 
-def _interior_residual(problem, k, nodes, u, du):
+def _interior_residual(problem, nodes, u, du):
     """sup | -u'' - psi(x,u,u') | on interior nodes via a 5-point second derivative.
 
     The weights come from fd_weights, so any build_grid grid works, an
@@ -186,8 +176,12 @@ def require_shift_sign(ordering: str, k: float) -> None:
 
 
 def run(problem: NonlinearProblem, k: float, max_iter: int, tol: float,
-        grid_n: int = 501) -> IterationTrace:
+        grid_n: int = 501, on_level=None) -> IterationTrace:
     """Advance both sequences until the step movements drop below tol.
+
+    The trace keeps the last level. on_level, when given, is called with
+    each level's (2, n) stack of lower and upper node values, level 0
+    included.
 
     converged requires, on top of the movement criterion, that the interior
     nonlinear residual of both limits stays within 10*tol and the boundary
@@ -213,19 +207,20 @@ def run(problem: NonlinearProblem, k: float, max_iter: int, tol: float,
     # +1 for a sequence that must rise, -1 for one that must fall; ordered
     # means the lower row sits on the side the upper row rises towards
     rise = np.array([-1.0, 1.0] if problem.ordering == "reverse" else [1.0, -1.0])
-
-    def ordered(v):
-        return bool(np.all(rise[1] * v[0] >= rise[1] * v[1] - MONOTONE_SLACK))
-
     nag = problem.nagumo
     track_p = nag is not None and nag.success
     trace = IterationTrace(k=k, nodes=nodes)
-    trace._record("iterates", list(zip(u, du)))
     if track_p:
         trace.derivative_bound_lower, trace.derivative_bound_upper = [], []
-    trace.gaps.append(float(np.max(np.abs(u[0] - u[1]))))
-    trace.ordered.append(ordered(u))
 
+    def record_level(u, du):
+        trace.gaps.append(float(np.max(np.abs(u[0] - u[1]))))
+        trace.ordered.append(bool(np.all(rise[1] * u[0] >= rise[1] * u[1] - MONOTONE_SLACK)))
+        trace.iterates_lower, trace.iterates_upper = ([pair] for pair in zip(u, du))
+        if on_level is not None:
+            on_level(u)
+
+    record_level(u, du)
     for _ in range(max_iter):
         u1, du1 = iterate_once(problem, solver, u, du)
         trace.iterations += 1
@@ -234,14 +229,12 @@ def run(problem: NonlinearProblem, k: float, max_iter: int, tol: float,
         trace._record("step_moves", moves.tolist())
         trace._record("monotone", np.all(rise[:, None] * u1 >= rise[:, None] * u
                                          - MONOTONE_SLACK, axis=1).tolist())
-        trace.ordered.append(ordered(u1))
-        trace.gaps.append(float(np.max(np.abs(u1[0] - u1[1]))))
         if track_p:
             trace._record("derivative_bound",
                           (np.max(np.abs(du1), axis=1) <= nag.P + DERIVATIVE_SLACK).tolist())
 
         u, du = u1, du1
-        trace._record("iterates", list(zip(u, du)))
+        record_level(u, du)
 
         sup_now = np.max(np.abs(u))
         if sup_now > bound or not np.isfinite(sup_now):
@@ -254,7 +247,7 @@ def run(problem: NonlinearProblem, k: float, max_iter: int, tol: float,
             break
 
     trace.residual_lower, trace.residual_upper = (
-        _interior_residual(problem, k, nodes, v, dv) for v, dv in zip(u, du))
+        _interior_residual(problem, nodes, v, dv) for v, dv in zip(u, du))
     trace.final_residual = max(trace.residual_lower, trace.residual_upper)
     trace.boundary_residual_lower, trace.boundary_residual_upper = (
         boundary_residuals(problem.config, nodes, v, dv) for v, dv in zip(u, du))

@@ -2,9 +2,10 @@
 
 perfbench/spans.py rebinds about 25 functions and methods by attribute, so
 renaming or deleting one of them breaks the traced benchmark runs. This
-installs the tracer, runs one subcommand in-process and restores it.
+installs the tracer, runs a subcommand in-process and restores it.
 """
 import importlib.util
+import json
 import pathlib
 
 from mibvp import cli
@@ -20,18 +21,38 @@ def _load_spans():
     return module
 
 
-def test_tracer_hooks_resolve(capsys):
-    spans = _load_spans()
+def _traced_main(spans, argv):
+    """Run cli.main(argv) under a fresh tracer; return the tracer, restored."""
     tracer = spans.Tracer()
-    original = cli.cmd_check
     try:
         tracer.install()
-        assert cli.main(["check", str(ROOT / "problems" / "example1.json")]) == 0
+        assert cli.main(argv) == 0
     finally:
         tracer.restore()
+    return tracer
+
+
+def test_tracer_hooks_resolve(capsys):
+    spans = _load_spans()
+    original = cli.cmd_check
+    tracer = _traced_main(spans, ["check", str(ROOT / "problems" / "example1.json")])
     assert cli.cmd_check is original
     names = {span[0] for span in tracer.spans}
     assert {"cli.cmd.check", spans.PROBLEMS_BUILD, spans.CHECK} <= names
     metrics = spans.layer_metrics(tracer.spans, tracer.counts)
     assert metrics["admissibility.check_calls"] == 1
     assert '"admissible": true' in capsys.readouterr().out
+
+
+def test_tracer_hooks_on_solve(capsys):
+    spans = _load_spans()
+    original = cli.run_iteration
+    tracer = _traced_main(spans, ["solve", str(ROOT / "problems" / "example1.json"),
+                                  "--grid-n", "21"])
+    assert cli.run_iteration is original
+    names = {span[0] for span in tracer.spans}
+    assert {"cli.cmd.solve", spans.RUN, spans.RESIDUAL, spans.SOLVE} <= names
+    metrics = spans.layer_metrics(tracer.spans, tracer.counts)
+    iterations = json.loads(capsys.readouterr().out)["iterations"]
+    assert iterations > 0
+    assert metrics["monotone.iterations"] == iterations

@@ -174,13 +174,15 @@ class TestSolve:
         capsys.readouterr()
 
     def test_streamed_iterates_equal_a_plain_writer(self, ex1_problem):
-        trace = run(ex1_problem, 0.49, max_iter=300, tol=1e-8, grid_n=21)
+        levels = []
+        trace = run(ex1_problem, 0.49, max_iter=300, tol=1e-8, grid_n=21,
+                    on_level=levels.append)
         lines = ["x,value,series"]
-        for label, iterates in (("c", trace.iterates_lower), ("d", trace.iterates_upper)):
-            for idx, (u, _) in enumerate(iterates):
+        for row, label in enumerate("cd"):
+            for idx, u in enumerate(levels):
                 lines.extend("%r,%r,%s%d" % (float(x), float(v), label, idx)
-                             for x, v in zip(trace.nodes, u))
-        assert "".join(cli._iterates_csv(trace)) == "\n".join(lines) + "\n"
+                             for x, v in zip(trace.nodes, u[row]))
+        assert "".join(cli._iterates_csv(trace.nodes, levels)) == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("config, k", [("example1.json", "-2"), ("example2.json", "0.5")])
     def test_shift_sign_against_ordering_exits_1(self, problems_dir, capsys, config, k):
@@ -199,6 +201,12 @@ class TestSolve:
         cfg = _config_file(tmp_path, data)
         assert main(["solve", cfg]) == 2
         assert "numerical error" in capsys.readouterr().err
+        # with --out the run stops before any artifact is written
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "--out", str(out)]) == 2
+        assert "numerical error" in capsys.readouterr().err
+        for name in ("iterates.csv", "trace.json", "run_meta.json"):
+            assert not (out / name).exists(), name
 
     def test_unknown_identifier_exits_1(self, tmp_path, capsys):
         data = copy.deepcopy(EXAMPLE1)
@@ -229,9 +237,10 @@ class TestSizeLimits:
         assert captured.out == ""
         assert "validation error" in captured.err and "to %d " % cli.MAX_DUMP_N in captured.err
 
-    def test_out_of_memory_exits_2(self, problems_dir):
-        # a 10^6-node solve asks for 8 TB of kernel samples; the child caps its
-        # own address space at 400 MB, with one BLAS thread so numpy still loads
+    @staticmethod
+    def _main_in_400_mb(argv):
+        # the child caps its own address space at 400 MB, with one BLAS thread
+        # so numpy still loads
         script = ("import resource, sys\n"
                   "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
                   "from mibvp.cli import main\n"
@@ -239,12 +248,24 @@ class TestSizeLimits:
         src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", script, "solve", _ex1(problems_dir),
-                               "--grid-n", "1000000"],
+        return subprocess.run([sys.executable, "-c", script] + argv,
                               capture_output=True, text=True, env=env, timeout=120)
+
+    def test_out_of_memory_exits_2(self, problems_dir):
+        # a 10^6-node solve asks for 8 TB of kernel samples
+        done = self._main_in_400_mb(["solve", _ex1(problems_dir), "--grid-n", "1000000"])
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr == "numerical error: not enough memory for grid_n=1000000\n"
+
+    def test_dump_at_its_cap_fits_in_400_mb(self, problems_dir, tmp_path):
+        # the table is written one s row at a time, never held as 10^6 rows
+        out = tmp_path / "g"
+        done = self._main_in_400_mb(["greens-dump", _ex1(problems_dir), "--grid-n",
+                                     str(cli.MAX_DUMP_N), "--out", str(out)])
+        assert done.returncode == 0, done.stderr
+        with open(out / "greens.csv", encoding="utf-8") as fh:
+            assert sum(1 for _ in fh) == 1 + cli.MAX_DUMP_N ** 2
 
     @pytest.mark.parametrize("command, data", [
         ("solve", {**EXAMPLE1, "grid_n": 10 ** 400}),

@@ -179,8 +179,8 @@ class TestRunReverse:
     def test_limit_value(self, trace_ex1):
         u, _ = trace_ex1.limit_lower()
         assert u.values[0] == pytest.approx(-0.00114916, abs=1e-6)
-        v, _ = trace_ex1.limit_upper()
-        assert float(np.max(np.abs(u.values - v.values))) <= 1e-6
+        v, _ = trace_ex1.iterates_upper[-1]
+        assert float(np.max(np.abs(u.values - v))) <= 1e-6
 
     def test_no_derivative_flags_without_a_bound(self, trace_ex1):
         # the reverse example has no certified derivative bound
@@ -251,12 +251,21 @@ class TestRunControl:
             run(ex2_problem, 0.5, max_iter=10, tol=1e-8, grid_n=201)
 
 
+@pytest.fixture(scope="module")
+def levels_ex1(ex1_problem):
+    """The example1 run of trace_ex1, with every level gathered by on_level."""
+    levels = []
+    trace = run(ex1_problem, 0.49, max_iter=300, tol=1e-8, grid_n=501,
+                on_level=levels.append)
+    return trace, levels
+
+
 class TestTraceInvariants:
-    def test_list_lengths(self, trace_ex1):
-        t = trace_ex1
+    def test_list_lengths(self, levels_ex1):
+        t, levels = levels_ex1
         n = t.iterations
-        assert len(t.iterates_lower) == n + 1
-        assert len(t.iterates_upper) == n + 1
+        assert len(levels) == n + 1
+        assert all(u.shape == (2, 501) for u in levels)
         assert len(t.gaps) == n + 1
         assert len(t.ordered) == n + 1
         assert len(t.step_moves_lower) == n
@@ -264,25 +273,35 @@ class TestTraceInvariants:
         assert len(t.monotone_lower) == n
         assert len(t.monotone_upper) == n
 
-    def test_flags_recomputable_from_iterates(self, trace_ex1):
-        t = trace_ex1
+    def test_flags_recomputable_from_iterates(self, levels_ex1):
+        t, levels = levels_ex1
         for i in range(t.iterations):
-            u_prev = t.iterates_lower[i][0]
-            u_next = t.iterates_lower[i + 1][0]
+            u_prev = levels[i][0]
+            u_next = levels[i + 1][0]
             assert t.monotone_lower[i] == bool(np.all(u_next <= u_prev + 1e-9))
             assert t.step_moves_lower[i] == pytest.approx(
                 float(np.max(np.abs(u_next - u_prev))), rel=1e-12)
         for i in range(t.iterations + 1):
-            c = t.iterates_lower[i][0]
-            d = t.iterates_upper[i][0]
+            c, d = levels[i]
             assert t.gaps[i] == pytest.approx(float(np.max(np.abs(c - d))), rel=1e-12)
             assert t.ordered[i] == bool(np.all(c >= d - 1e-9))
 
-    def test_step_moves_property(self, trace_ex1):
-        pairs = trace_ex1.step_moves
-        assert pairs[0] == (trace_ex1.step_moves_lower[0],
-                            trace_ex1.step_moves_upper[0])
-        assert len(pairs) == trace_ex1.iterations
+    def test_keeps_the_last_level_only(self, ex2_problem):
+        t = run(ex2_problem, -10.0, max_iter=1500, tol=1e-8, grid_n=201)
+        assert t.iterations > 1
+        assert len(t.iterates_lower) == len(t.iterates_upper) == 1
+        assert all(v.shape == (201,) for v in t.iterates_lower[0] + t.iterates_upper[0])
+
+    def test_on_level_sees_every_level(self, ex2_problem):
+        levels = []
+        t = run(ex2_problem, -10.0, max_iter=1500, tol=1e-8, grid_n=201,
+                on_level=levels.append)
+        assert len(levels) == t.iterations + 1
+        assert np.array_equal(levels[-1][0], t.iterates_lower[-1][0])
+        assert np.array_equal(levels[-1][1], t.iterates_upper[-1][0])
+        plain = run(ex2_problem, -10.0, max_iter=1500, tol=1e-8, grid_n=201)
+        assert np.array_equal(levels[-1], [plain.iterates_lower[-1][0],
+                                           plain.iterates_upper[-1][0]])
 
     def test_to_dict_shape(self, trace_ex1):
         d = trace_ex1.to_dict()
