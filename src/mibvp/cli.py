@@ -20,7 +20,7 @@ from ._version import __version__
 from .admissibility import check_k, margin_table, scan_k
 from .errors import NumericalError, ValidationError
 from .kernel import Regime, ShiftedOperator, kernel_functions
-from .linear_bvp import GridFunction, build_grid, get_solver
+from .linear_bvp import BLOCK_ROWS, GridFunction, build_grid, get_solver
 from .monotone import require_shift_sign
 from .monotone import run as run_iteration
 from .oracle import fd_linear, fd_nonlinear
@@ -158,9 +158,9 @@ def cmd_solve(args):
     grid_n = args.grid_n = args.grid_n if args.grid_n is not None else config.grid_n
     tol = args.tol if args.tol is not None else config.tol
     max_iter = args.max_iter if args.max_iter is not None else config.max_iter
-    levels = []  # a level can be a view that pins its du too, so keep a copy of u
+    levels = []
     trace = run_iteration(problem, k, max_iter=max_iter, tol=tol, grid_n=grid_n,
-                          on_level=(lambda u: levels.append(u.copy())) if args.out else None)
+                          on_level=levels.append if args.out else None)
     if args.format == "csv":
         sys.stdout.write(_trace_csv(trace))
     else:
@@ -182,16 +182,16 @@ def cmd_greens_dump(args):
                               % (MAX_DUMP_N, m))
     fns = kernel_functions(config.boundary_config, op)
     pts = np.linspace(0.0, 1.0, m)
-    x, s = pts[None, :], pts[:, None]  # rows run s outer, x inner
-    value = fns.value(x, s)
-    dvalue = fns.dvalue_dx(x, s)
     xs = [repr(x) + "," for x in pts.tolist()]
 
     def chunks():  # the header, then one s row of text at a time
         yield "x,s,value,dvalue_dx\n"
-        for mid, g_row, dg_row in zip(xs, value, dvalue):
-            yield "".join(x + mid + repr(g) + "," + repr(dg) + "\n"
-                          for x, g, dg in zip(xs, g_row.tolist(), dg_row.tolist()))
+        for r in range(0, m, BLOCK_ROWS):  # rows run s outer, x inner
+            s = pts[r:r + BLOCK_ROWS, None]
+            for mid, g_row, dg_row in zip(xs[r:r + BLOCK_ROWS], fns.value(pts, s),
+                                          fns.dvalue_dx(pts, s)):
+                yield "".join(x + mid + repr(g) + "," + repr(dg) + "\n"
+                              for x, g, dg in zip(xs, g_row.tolist(), dg_row.tolist()))
 
     if args.out:
         _write(args.out, "greens.csv", chunks())

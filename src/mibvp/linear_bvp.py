@@ -22,6 +22,9 @@ from .kernel import BoundaryConfig, ShiftedOperator, kernel_functions
 NODE_MATCH_TOL = 1e-12
 # the most nodes a grid may have
 MAX_GRID_N = 10 ** 6
+# rows of the quadrature matrices built from one kernel call; the build's
+# temporaries are a few BLOCK_ROWS x n arrays
+BLOCK_ROWS = 64
 
 
 @dataclass
@@ -78,12 +81,13 @@ def node_index(nodes, p: float) -> int:
 class LinearSolver:
     """Precomputed quadrature matrices for one (config, operator, grid) triple.
 
-    solve(g_values, c_shift) costs two matrix-vector products. One Simpson
-    assembly builds both matrices from the kernel sampled at the nodes and
-    at the panel midpoints. The kernel's x <= s rule gives dG/dx(x_i, x_i)
-    the limit from below, but panel i-1 ends on x_i from the left, where its
-    integrand is the limit from above, one more; so the diagonal gets
-    w_{i-1}/6 on top.
+    solve(g_values, c_shift) costs two matrix-vector products. The two
+    matrices are the solver's 16 n^2 bytes; the build fills them BLOCK_ROWS
+    rows at a time, from the kernel sampled at the nodes and at the panel
+    midpoints, so it adds only O(BLOCK_ROWS n) bytes on top. The kernel's
+    x <= s rule gives dG/dx(x_i, x_i) the limit from below, but panel i-1
+    ends on x_i from the left, where its integrand is the limit from above,
+    one more; so the diagonal gets w_{i-1}/6 on top.
     """
 
     def __init__(self, config: BoundaryConfig, op: ShiftedOperator, nodes):
@@ -96,13 +100,13 @@ class LinearSolver:
         n = xs.size
         mids = 0.5 * (xs[:-1] + xs[1:])
         w = np.diff(xs)
-        X = xs[:, None]
-        self.value_matrix = _simpson(w, fns.value(X, xs[None, :]),
-                                     fns.value(X, mids[None, :]))
-        Qd = _simpson(w, fns.dvalue_dx(X, xs[None, :]), fns.dvalue_dx(X, mids[None, :]))
+        self.value_matrix, self.derivative_matrix = np.zeros((n, n)), np.zeros((n, n))
+        for r in range(0, n, BLOCK_ROWS):
+            X = xs[r:r + BLOCK_ROWS, None]
+            for f, Q in ((fns.value, self.value_matrix), (fns.dvalue_dx, self.derivative_matrix)):
+                _simpson(w, f(X, xs[None, :]), f(X, mids[None, :]), Q[r:r + BLOCK_ROWS])
         diag = np.arange(1, n)
-        Qd[diag, diag] += w / 6.0
-        self.derivative_matrix = Qd
+        self.derivative_matrix[diag, diag] += w / 6.0
         self.boundary_values = fns.boundary_term(xs)
         self.boundary_derivatives = fns.boundary_term_dx(xs)
 
@@ -113,18 +117,17 @@ class LinearSolver:
         return u, du
 
 
-def _simpson(w, at_nodes, at_mids):
-    """Simpson matrix from kernel samples F(x_i, s_j) and F(x_i, m_j).
+def _simpson(w, at_nodes, at_mids, Q):
+    """Add the Simpson sums of kernel samples F(x_i, s_j), F(x_i, m_j) to Q.
 
-    With the midpoint g taken as the mean of the endpoint samples, panel j
-    adds (w_j/6)(F(x, s_j) + 2 F(x, m_j)) to column j and
+    Q holds the rows x_i of the samples and starts at zero. With the
+    midpoint g taken as the mean of the endpoint samples, panel j adds
+    (w_j/6)(F(x, s_j) + 2 F(x, m_j)) to column j and
     (w_j/6)(F(x, s_{j+1}) + 2 F(x, m_j)) to column j+1.
     """
     co = w / 6.0
-    Q = np.zeros(at_nodes.shape)
     Q[:, :-1] += co * (at_nodes[:, :-1] + 2 * at_mids)
     Q[:, 1:] += co * (at_nodes[:, 1:] + 2 * at_mids)
-    return Q
 
 
 def get_solver(config: BoundaryConfig, op: ShiftedOperator, nodes) -> LinearSolver:

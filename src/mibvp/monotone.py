@@ -139,7 +139,8 @@ def iterate_once(problem: NonlinearProblem, solver, u, du):
     shift, and solves the shifted linear problem with zero boundary shift.
     u and du hold one sequence, shape (n,), or a stack of them, shape
     (m, n): psi is sampled once over the stack and each row is solved on
-    its own. Returns the next (u, du) pair, shaped like u.
+    its own. Returns the next (u, du) pair, shaped like u, as two separate
+    contiguous arrays, so keeping one does not keep the other.
     """
     nodes = solver.nodes
     g = problem.psi_values(nodes, u, du) - solver.op.k * u
@@ -147,8 +148,8 @@ def iterate_once(problem: NonlinearProblem, solver, u, du):
         bad = np.unravel_index(np.argmin(np.isfinite(g)), g.shape)[-1]
         raise NumericalError("source evaluation produced a non-finite value at x=%r"
                              % nodes[bad])
-    nxt = np.array([solver.solve(row, 0.0) for row in g.reshape(-1, nodes.size)])
-    return nxt[:, 0].reshape(g.shape), nxt[:, 1].reshape(g.shape)
+    u1, du1 = zip(*(solver.solve(row, 0.0) for row in g.reshape(-1, nodes.size)))
+    return np.array(u1).reshape(g.shape), np.array(du1).reshape(g.shape)
 
 
 def _interior_residual(problem, nodes, u, du):

@@ -8,7 +8,9 @@ import importlib.util
 import json
 import pathlib
 
-from mibvp import cli
+from mibvp import cli, linear_bvp
+from mibvp.kernel import ShiftedOperator
+from mibvp.problems import example1
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -56,3 +58,21 @@ def test_tracer_hooks_on_solve(capsys):
     iterations = json.loads(capsys.readouterr().out)["iterations"]
     assert iterations > 0
     assert metrics["monotone.iterations"] == iterations
+
+
+def test_tracer_counts_one_blocked_build():
+    # the build calls the kernel once per block of rows, but it samples the
+    # same 2 n (2n - 1) points as one call on the whole grid did
+    spans = _load_spans()
+    config = example1().boundary_config
+    nodes = linear_bvp.build_grid(2 * linear_bvp.BLOCK_ROWS + 3, config.xi, config.eta)
+    n = nodes.size
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        linear_bvp.get_solver(config, ShiftedOperator(0.49), nodes)
+    finally:
+        tracer.restore()
+    metrics = spans.layer_metrics(tracer.spans, tracer.counts)
+    assert metrics["kernel.points"] == 2 * n * (2 * n - 1)
+    assert metrics["linear_bvp.builds"] == 1

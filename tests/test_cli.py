@@ -252,7 +252,7 @@ class TestSizeLimits:
                               capture_output=True, text=True, env=env, timeout=120)
 
     def test_out_of_memory_exits_2(self, problems_dir):
-        # a 10^6-node solve asks for 8 TB of kernel samples
+        # a 10^6-node solve asks for two 8 TB quadrature matrices
         done = self._main_in_400_mb(["solve", _ex1(problems_dir), "--grid-n", "1000000"])
         assert done.returncode == 2
         assert done.stdout == ""

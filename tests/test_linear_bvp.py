@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mibvp import linear_bvp
 from mibvp.errors import ValidationError
 from mibvp.kernel import BoundaryConfig, ShiftedOperator, kernel_functions
 from mibvp.linear_bvp import (GridFunction, boundary_residuals, build_grid, get_solver,
@@ -276,6 +277,48 @@ def test_derivative_matrix_matches_panel_loop(config, op):
     Qd = get_solver(config, op, xs).derivative_matrix
     ref = _panel_loop_derivative_matrix(config, op, xs)
     assert np.max(np.abs(Qd - ref)) <= 1e-13 * np.max(np.abs(Qd))
+
+
+def _dense_matrices(config, op, xs):
+    # the one-shot assembly the blocked build replaced: the kernel on the
+    # whole n x n grid of nodes and of midpoints, then zeros plus the two
+    # Simpson sums, then the diagonal fix
+    fns = kernel_functions(config, op)
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    co = np.diff(xs) / 6.0
+    X = xs[:, None]
+    matrices = []
+    for f in (fns.value, fns.dvalue_dx):
+        at_nodes, at_mids = f(X, xs[None, :]), f(X, mids[None, :])
+        Q = np.zeros(at_nodes.shape)
+        Q[:, :-1] += co * (at_nodes[:, :-1] + 2 * at_mids)
+        Q[:, 1:] += co * (at_nodes[:, 1:] + 2 * at_mids)
+        matrices.append(Q)
+    diag = np.arange(1, xs.size)
+    matrices[1][diag, diag] += co
+    return matrices
+
+
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+B = linear_bvp.BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [5, B - 1, B, B + 1, 201])
+@pytest.mark.parametrize("config, k", [
+    (CFG1, 0.49), (CFG1, 2.4), (CFG2, -2.0), (CFG2, -500.0), (CFG2, -1000.0),
+    (BoundaryConfig(0.117, 0.2, 2.0, 3.0), 0.49),  # xi inserted at every n here
+])
+def test_blocked_build_is_bit_identical_to_dense(config, k, n):
+    op = ShiftedOperator(k)
+    xs = build_grid(n, config.xi, config.eta)
+    solver = get_solver(config, op, xs)
+    value_ref, derivative_ref = _dense_matrices(config, op, xs)
+    _assert_same_bits(solver.value_matrix, value_ref)
+    _assert_same_bits(solver.derivative_matrix, derivative_ref)
 
 
 @settings(max_examples=25, deadline=None)

@@ -141,6 +141,16 @@ class TestIterateOnce:
             assert np.array_equal(u1[row], v1)
             assert np.array_equal(du1[row], dv1)
 
+    def test_returns_separate_contiguous_arrays(self, ex2_problem):
+        # a kept level's u must not pin that step's u'
+        xs = build_grid(101, 0.2, 0.3)
+        solver = get_solver(CFG2, ShiftedOperator(-2.0), xs)
+        pairs = [ex2_problem.initial_lower(xs), ex2_problem.initial_upper(xs)]
+        for u, du in (np.array(pairs).transpose(1, 0, 2), pairs[0]):
+            u1, du1 = iterate_once(ex2_problem, solver, u, du)
+            assert not np.shares_memory(u1, du1)
+            assert u1.flags.c_contiguous and du1.flags.c_contiguous
+
     def test_non_finite_source(self):
         p = _toy_problem(psi=parse_expression("ln(u)"), config=CFG2)
         xs = build_grid(101, 0.2, 0.3)
