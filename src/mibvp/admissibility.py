@@ -78,7 +78,7 @@ class LipschitzData:
         require_variables(l2_expr, {"x"}, "L2")
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             vals = l2_expr.sample(x=SUP_XS)
-            dvals = l2_expr.diff("x").sample(x=SUP_XS)
+            dvals = l2_expr.derivative("x", x=SUP_XS)
         return cls._build(l1, vals, dvals, l2_text=l2_expr.text)
 
     @classmethod
@@ -357,7 +357,7 @@ def _u_box(problem, nu):
 
 
 def _psi_partial(problem, xs, U, wrt):
-    """Central-difference d psi/d wrt (wrt "u" or "up") over xs x U x 41 slopes.
+    """The exact partial d psi/d wrt (wrt "u" or "up") sampled on xs x U x 41 slopes.
 
     The slopes span [-W, W]: W is the Nagumo P when one was found,
     otherwise the crude derivative-range fallback 2 sup|c0', d0'| + 1.
@@ -367,15 +367,11 @@ def _psi_partial(problem, xs, U, wrt):
     if nag is not None and nag.success:
         W = nag.P
     else:
-        W = 2.0 * float(max(np.max(np.abs(problem.lower0.diff("x").sample(x=xs))),
-                            np.max(np.abs(problem.upper0.diff("x").sample(x=xs))))) + 1.0
-    at = {"x": xs[:, None, None], "u": U[:, :, None],
-          "up": np.linspace(-W, W, 41)[None, None, :]}
-    e = 1e-5 * np.maximum(1.0, np.abs(at[wrt]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        plus = problem.psi.sample(**{**at, wrt: at[wrt] + e})
-        minus = problem.psi.sample(**{**at, wrt: at[wrt] - e})
-        d = (plus - minus) / (2 * e)
+        W = 2.0 * float(max(np.max(np.abs(problem.lower0.derivative("x", x=xs))),
+                            np.max(np.abs(problem.upper0.derivative("x", x=xs))))) + 1.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d = problem.psi.derivative(wrt, x=xs[:, None, None], u=U[:, :, None],
+                                   up=np.linspace(-W, W, 41)[None, None, :])
     if not np.all(np.isfinite(d)):
         raise NumericalError("non-finite psi samples in the Lipschitz box")
     return d
@@ -384,11 +380,11 @@ def _psi_partial(problem, xs, U, wrt):
 def estimate_l1(problem) -> float:
     """Estimate the one-sided Lipschitz constant of psi in u.
 
-    Samples the signed partial d psi/du by central differences over the box
-    between the initial solutions with |u'| bounded by the Nagumo P (or a
-    crude derivative-range fallback when no P is available), then takes the
-    positive part for the reverse ordering and the negative-part magnitude
-    for the well ordering.
+    Samples the exact signed partial d psi/du (Expression.derivative, not a
+    difference quotient) over the box between the initial solutions with
+    |u'| bounded by the Nagumo P (or a crude derivative-range fallback when
+    no P is available), then takes the positive part for the reverse
+    ordering and the negative-part magnitude for the well ordering.
     """
     xs, U = _u_box(problem, BOX_SAMPLES)
     d = _psi_partial(problem, xs, U, "u")
@@ -400,10 +396,10 @@ def estimate_l1(problem) -> float:
 def estimate_lipschitz(problem) -> LipschitzData:
     """Estimate full Lipschitz data (L1 plus an L2 profile) from psi.
 
-    The L2 profile is the per-x supremum of |d psi/du'| over the sample box,
-    made nondecreasing by a running maximum. Prefer explicit overrides from
-    the problem configuration when available; this estimator is a sampled
-    stand-in.
+    The L2 profile is the per-x supremum of the exact |d psi/du'| sampled
+    on the box, made nondecreasing by a running maximum; L2' is its
+    np.gradient on SUP_XS. Prefer explicit overrides from the problem
+    configuration when available; this estimator is a sampled stand-in.
     """
     l1 = estimate_l1(problem)
     xs, U = _u_box(problem, 41)

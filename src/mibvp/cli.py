@@ -19,8 +19,8 @@ import numpy as np
 from ._version import __version__
 from .admissibility import check_k, margin_table, scan_k
 from .errors import NumericalError, ValidationError
-from .kernel import Regime, ShiftedOperator, kernel_functions
-from .linear_bvp import BLOCK_ROWS, GridFunction, build_grid, get_solver
+from .kernel import BLOCK_ROWS, Regime, ShiftedOperator, kernel_functions
+from .linear_bvp import GridFunction, build_grid, get_solver
 from .monotone import require_shift_sign
 from .monotone import run as run_iteration
 from .oracle import fd_linear, fd_nonlinear

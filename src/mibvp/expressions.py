@@ -11,13 +11,17 @@ Grammar (fixed contract, do not extend casually):
 
 '^' is right-associative and unary minus binds tighter than '^', so
 "-x^2" parses as (-x)^2. Numbers are decimals with an optional exponent.
-Evaluation is pure and vectorizes over numpy arrays.
+Evaluation is pure and vectorizes over numpy arrays. Derivatives come from
+the same evaluator: Expression.derivative passes forward-mode jets (value,
+derivative) through _eval, so every derivative is exact to rounding, and
+abs'(0) is taken as sign(0) = 0.
 """
 from __future__ import annotations
 
 import re
 
 import numpy as np
+from numpy.lib.mixins import NDArrayOperatorsMixin
 
 from .errors import ExpressionError, ValidationError
 
@@ -203,123 +207,89 @@ def _collect_vars(node, out):
         _collect_vars(node[2], out)
 
 
-# -- small constructors that fold the easy constant cases, keeping derivative
-#    trees readable and cheap to evaluate --
+# Forward-mode rules on (value, derivative) pairs. A derivative of None is
+# zero: a term constant in the seeded variable stays a plain number and its
+# derivative terms are never formed. The operation order is deliberate: a
+# quotient by a constant keeps the quotient-rule form (a'b)/b^2, since a'/b
+# rounds the bundled L2' and psi partials 1 ulp differently; sqrt and ln
+# divide, a'/(2 sqrt a) and a'/a; a constant exponent gives c (a^(c-1) a'),
+# in that order.
 
-def _is_num(node, value=None):
-    return node[0] == "num" and (value is None or node[1] == value)
-
-
-def _add(a, b):
-    if _is_num(a, 0.0):
-        return b
-    if _is_num(b, 0.0):
-        return a
-    if _is_num(a) and _is_num(b):
-        return ("num", a[1] + b[1])
-    return ("+", a, b)
+def _split(a):
+    return (a.v, a.d) if isinstance(a, _Jet) else (a, None)
 
 
-def _sub(a, b):
-    if _is_num(b, 0.0):
-        return a
-    if _is_num(a) and _is_num(b):
-        return ("num", a[1] - b[1])
-    if _is_num(a, 0.0):
-        return ("neg", b)
-    return ("-", a, b)
+def _jet_add(a, b):
+    (av, ad), (bv, bd) = _split(a), _split(b)
+    return _Jet(av + bv, bd if ad is None else ad if bd is None else ad + bd)
 
 
-def _mul(a, b):
-    if _is_num(a, 0.0) or _is_num(b, 0.0):
-        return ("num", 0.0)
-    if _is_num(a, 1.0):
-        return b
-    if _is_num(b, 1.0):
-        return a
-    if _is_num(a) and _is_num(b):
-        return ("num", a[1] * b[1])
-    return ("*", a, b)
+def _jet_mul(a, b):
+    (av, ad), (bv, bd) = _split(a), _split(b)
+    if ad is None:
+        return _Jet(av * bv, av * bd)
+    return _Jet(av * bv, ad * bv if bd is None else ad * bv + av * bd)
 
 
-def _div(a, b):
-    if _is_num(a, 0.0):
-        return ("num", 0.0)
-    if _is_num(b, 1.0):
-        return a
-    if _is_num(a) and _is_num(b) and b[1] != 0:
-        return ("num", a[1] / b[1])
-    return ("/", a, b)
+def _jet_div(a, b):
+    (av, ad), (bv, bd) = _split(a), _split(b)
+    num = ad * bv if bd is None else -(av * bd) if ad is None else ad * bv - av * bd
+    return _Jet(av / bv, num / np.power(bv, 2.0))
 
 
-def _diff(node, var):
-    kind = node[0]
-    if kind == "num":
-        return ("num", 0.0)
-    if kind == "var":
-        return ("num", 1.0 if node[1] == var else 0.0)
-    if kind == "neg":
-        return _sub(("num", 0.0), _diff(node[1], var))
-    if kind == "+":
-        return _add(_diff(node[1], var), _diff(node[2], var))
-    if kind == "-":
-        return _sub(_diff(node[1], var), _diff(node[2], var))
-    if kind == "*":
-        a, b = node[1], node[2]
-        return _add(_mul(_diff(a, var), b), _mul(a, _diff(b, var)))
-    if kind == "/":
-        a, b = node[1], node[2]
-        num = _sub(_mul(_diff(a, var), b), _mul(a, _diff(b, var)))
-        return _div(num, ("^", b, ("num", 2.0)))
-    if kind == "^":
-        a, b = node[1], node[2]
-        da = _diff(a, var)
-        if _is_num(b):
-            c = b[1]
-            if c == 0.0:
-                return ("num", 0.0)
-            return _mul(("num", c), _mul(("^", a, ("num", c - 1.0)), da))
-        # general a^b, valid for a > 0
-        db = _diff(b, var)
-        term = _add(_mul(db, ("call", "ln", a)), _mul(b, _div(da, a)))
-        return _mul(node, term)
-    if kind == "call":
-        fn, a = node[1], node[2]
-        da = _diff(a, var)
-        if fn == "exp":
-            outer = node
-        elif fn == "sin":
-            outer = ("call", "cos", a)
-        elif fn == "cos":
-            outer = ("neg", ("call", "sin", a))
-        elif fn == "sinh":
-            outer = ("call", "cosh", a)
-        elif fn == "cosh":
-            outer = ("call", "sinh", a)
-        elif fn == "sqrt":
-            return _div(da, _mul(("num", 2.0), node))
-        elif fn == "abs":
-            # a/|a|, undefined at 0; fine away from the origin
-            outer = _div(a, node)
-        elif fn == "ln":
-            return _div(da, a)
-        else:
-            raise AssertionError("bad function %r" % fn)
-        return _mul(outer, da)
-    raise AssertionError("bad node %r" % (node,))
+def _jet_pow(a, b):
+    (av, ad), (bv, bd) = _split(a), _split(b)
+    if bd is None:
+        if np.ndim(bv) == 0 and bv == 0.0:
+            return np.power(av, bv)  # a^0 is constant, even at a = 0
+        return _Jet(np.power(av, bv), bv * (np.power(av, bv - 1.0) * ad))
+    p = np.power(av, bv)
+    dlog = bd * np.log(av) if ad is None else bd * np.log(av) + bv * (ad / av)
+    return _Jet(p, p * dlog)
 
 
-def _to_text(node):
-    kind = node[0]
-    if kind == "num":
-        return repr(node[1])
-    if kind == "var":
-        return node[1]
-    if kind == "neg":
-        return "(-%s)" % _to_text(node[1])
-    if kind == "call":
-        return "%s(%s)" % (node[1], _to_text(node[2]))
-    return "(%s %s %s)" % (_to_text(node[1]), kind, _to_text(node[2]))
+def _chain(f, df):
+    return lambda a: _Jet(f(a.v), df(a.v) * a.d)
+
+
+_JET_RULES = {
+    np.negative: lambda a: _Jet(-a.v, -a.d),
+    np.add: _jet_add,
+    np.subtract: lambda a, b: _jet_add(a, -b),  # a + (-b) rounds exactly as a - b
+    np.multiply: _jet_mul,
+    np.divide: _jet_div,
+    np.power: _jet_pow,
+    np.exp: _chain(np.exp, np.exp),
+    np.sin: _chain(np.sin, np.cos),
+    np.cos: _chain(np.cos, lambda v: -np.sin(v)),
+    np.sinh: _chain(np.sinh, np.cosh),
+    np.cosh: _chain(np.cosh, np.sinh),
+    np.abs: _chain(np.abs, np.sign),  # abs'(0) = sign(0) = 0
+    np.sign: lambda a: np.sign(a.v),
+    np.sqrt: lambda a: _Jet(np.sqrt(a.v), a.d / (2.0 * np.sqrt(a.v))),
+    np.log: lambda a: _Jet(np.log(a.v), a.d / a.v),
+}
+
+
+class _Jet(NDArrayOperatorsMixin):
+    """A value v and its derivative d in one seeded variable; _eval takes it as a float.
+
+    The mixin turns Python operators into numpy ufuncs, and every ufunc,
+    ndarray operands included, reaches the rules through __array_ufunc__.
+    v and d may be jets themselves, which carries a second derivative.
+    """
+
+    __slots__ = ("v", "d")
+
+    def __init__(self, v, d):
+        self.v = v
+        self.d = d
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        rule = _JET_RULES.get(ufunc)
+        if rule is None or method != "__call__" or kwargs:
+            return NotImplemented
+        return rule(*args)
 
 
 class Expression:
@@ -348,11 +318,23 @@ class Expression:
         out[...] = self.evaluate(**env)
         return out
 
-    def diff(self, var):
+    def derivative(self, var, order=1, **env):
+        """The order-th partial derivative in var (order 1 or 2), sampled as sample(**env) is.
+
+        var is seeded with a jet (a jet of jets for order 2) and the tree is
+        evaluated once. A variable the expression does not use gives zeros.
+        """
         if var not in VARIABLES:
             raise ExpressionError("cannot differentiate with respect to %r" % var)
-        ast = _diff(self.ast, var)
-        return Expression(_to_text(ast), ast)
+        out = np.empty(np.broadcast(*env.values()).shape)
+        if var in env:
+            for _ in range(order):
+                env[var] = _Jet(env[var], 1.0)
+        d = self.evaluate(**env)
+        for _ in range(order):
+            d = d.d if isinstance(d, _Jet) else 0.0
+        out[...] = d
+        return out
 
     def __eq__(self, other):
         return isinstance(other, Expression) and self.ast == other.ast

@@ -37,6 +37,10 @@ PI2_OVER_4 = np.pi ** 2 / 4
 
 DEGENERATE_TOL = 1e-12
 DX_SIGN_TOL = 1e-10
+# rows of a kernel grid sampled by one call (the quadrature build,
+# greens-dump, green_dx_sign_check); their temporaries are a few
+# BLOCK_ROWS x n arrays
+BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -278,6 +282,9 @@ def green_dx_sign_check(config: BoundaryConfig, op: ShiftedOperator, grid) -> Dx
     """Check dG/dx <= DX_SIGN_TOL at every off-diagonal point of grid x grid.
 
     Only meaningful in the negative-k regime (regime mismatch otherwise).
+    The grid is scanned BLOCK_ROWS rows at a time; each side keeps one
+    candidate per block, and the first of the largest wins, as one argmax
+    over the whole grid would pick it.
     """
     if op.regime is not Regime.NEGATIVE_K:
         raise ValidationError(
@@ -285,17 +292,22 @@ def green_dx_sign_check(config: BoundaryConfig, op: ShiftedOperator, grid) -> Dx
         )
     fns = kernel_functions(config, op)
     nodes = np.asarray(grid, float)
-    X = nodes[:, None]
     S = nodes[None, :]
-    d = fns.dvalue_dx(X, S)
+    below, above = [], []  # (value, row, column) per block
+    for r in range(0, nodes.size, BLOCK_ROWS):
+        X = nodes[r:r + BLOCK_ROWS, None]
+        d = fns.dvalue_dx(X, S)
+        for cands, mask in ((below, X < S), (above, X > S)):
+            vals = np.where(mask, d, -np.inf)
+            i, j = np.unravel_index(np.argmax(vals), vals.shape)
+            cands.append((vals[i, j], r + i, j))
 
-    def side_max(mask):
-        vals = np.where(mask, d, -np.inf)
-        idx = np.unravel_index(np.argmax(vals), vals.shape)
-        return float(vals[idx]), (float(nodes[idx[0]]), float(nodes[idx[1]]))
+    def side_max(cands):
+        v, i, j = cands[int(np.argmax([c[0] for c in cands]))]
+        return float(v), (float(nodes[i]), float(nodes[j]))
 
-    max_b, worst_b = side_max(X < S)
-    max_a, worst_a = side_max(X > S)
+    max_b, worst_b = side_max(below)
+    max_a, worst_a = side_max(above)
     ok_b = max_b <= DX_SIGN_TOL
     ok_a = max_a <= DX_SIGN_TOL
     return DxSignReport(

@@ -17,14 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .kernel import BoundaryConfig, ShiftedOperator, kernel_functions
+from .kernel import BLOCK_ROWS, BoundaryConfig, ShiftedOperator, kernel_functions
 
 NODE_MATCH_TOL = 1e-12
 # the most nodes a grid may have
 MAX_GRID_N = 10 ** 6
-# rows of the quadrature matrices built from one kernel call; the build's
-# temporaries are a few BLOCK_ROWS x n arrays
-BLOCK_ROWS = 64
 
 
 @dataclass

@@ -56,10 +56,10 @@ class NonlinearProblem:
         require_variables(self.upper0, {"x"}, "upper0")
 
     def initial_lower(self, nodes):
-        return self.lower0.sample(x=nodes), self.lower0.diff("x").sample(x=nodes)
+        return self.lower0.sample(x=nodes), self.lower0.derivative("x", x=nodes)
 
     def initial_upper(self, nodes):
-        return self.upper0.sample(x=nodes), self.upper0.diff("x").sample(x=nodes)
+        return self.upper0.sample(x=nodes), self.upper0.derivative("x", x=nodes)
 
     def psi_values(self, xs, u, du):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -292,8 +292,8 @@ def verify_initial_bracket(problem: NonlinearProblem, k: float = None) -> Bracke
 
     c, dc = problem.initial_lower(nodes)
     d, dd = problem.initial_upper(nodes)
-    d2c = problem.lower0.diff("x").diff("x").sample(x=nodes)
-    d2d = problem.upper0.diff("x").diff("x").sample(x=nodes)
+    d2c = problem.lower0.derivative("x", 2, x=nodes)
+    d2d = problem.upper0.derivative("x", 2, x=nodes)
 
     psi_c = problem.psi_values(nodes, c, dc)
     psi_d = problem.psi_values(nodes, d, dd)

@@ -192,8 +192,6 @@ def fd_nonlinear(problem, n: int = 201) -> GridFunction:
     bracket_sup = max(np.max(np.abs(c0)), np.max(np.abs(d0)))
     u = 0.5 * (c0 + d0)
 
-    psi_u = problem.psi.diff("u")
-
     def derivative(v):
         return np.sum(d1[1:-1] * v[cols[1:-1]], axis=1)
 
@@ -207,11 +205,8 @@ def fd_nonlinear(problem, n: int = 201) -> GridFunction:
     def factor(v):
         up = derivative(v)
         with np.errstate(over="ignore", invalid="ignore"):
-            pu = psi_u.sample(x=x_in, u=v[1:-1], up=up)
-            e = 1e-6 * np.maximum(1.0, np.abs(up))
-            pp = problem.psi.sample(x=x_in, u=v[1:-1], up=up + e)
-            pm = problem.psi.sample(x=x_in, u=v[1:-1], up=up - e)
-            pup = (pp - pm) / (2 * e)
+            pu = problem.psi.derivative("u", x=x_in, u=v[1:-1], up=up)
+            pup = problem.psi.derivative("up", x=x_in, u=v[1:-1], up=up)
         return _factor_checked(_assemble(cfg, nodes, stencils, pu, pup, scale),
                                "Newton Jacobian")
 

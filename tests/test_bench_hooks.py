@@ -8,7 +8,10 @@ import importlib.util
 import json
 import pathlib
 
+import numpy as np
+
 from mibvp import cli, linear_bvp
+from mibvp.expressions import parse_expression
 from mibvp.kernel import ShiftedOperator
 from mibvp.problems import example1
 
@@ -76,3 +79,19 @@ def test_tracer_counts_one_blocked_build():
     metrics = spans.layer_metrics(tracer.spans, tracer.counts)
     assert metrics["kernel.points"] == 2 * n * (2 * n - 1)
     assert metrics["linear_bvp.builds"] == 1
+
+
+def test_tracer_counts_one_eval_per_derivative():
+    # a derivative seeds a jet and evaluates the tree once, second order too
+    spans = _load_spans()
+    psi = parse_expression("(exp(u) - x*exp(up))/195")
+    xs = np.linspace(0.0, 1.0, 11)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        psi.derivative("up", x=xs, u=0.5, up=xs)
+        psi.derivative("x", 2, x=xs, u=0.5, up=xs)
+    finally:
+        tracer.restore()
+    metrics = spans.layer_metrics(tracer.spans, tracer.counts)
+    assert metrics["expressions.evals"] == 2

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from mibvp import cli, linear_bvp
-from mibvp.kernel import ShiftedOperator
+from mibvp.kernel import ShiftedOperator, green_dx_sign_check
 from mibvp.monotone import _interior_residual, iterate_once
+from mibvp.oracle import fd_nonlinear
 
 DECLARED = {
     "solver bytes held": 2,  # the value and derivative matrices, 16 n^2 bytes
@@ -23,12 +24,15 @@ DECLARED = {
     "iterate_once on (2, n)": 1,
     "_interior_residual": 1,
     "greens-dump kernel arrays": 1,  # per m: BLOCK_ROWS x m blocks
+    "green_dx_sign_check": 1,  # BLOCK_ROWS x n blocks
+    "fd_nonlinear": 1,  # tridiagonal Newton systems
 }
 SLACK = 0.15
 SIZES = (251, 1001)
 # greens-dump writes m^2 rows, which tracemalloc slows down; both sizes
 # are at least BLOCK_ROWS, so each samples the kernel in full blocks
 DUMP_SIZES = (64, 256)
+ORACLE_SIZES = (201, 801)
 K = -2.0
 
 
@@ -114,3 +118,14 @@ def test_greens_dump(problems_dir, tmp_path):
         assert status == 0
         peaks.append(peak)
     _check("greens-dump kernel arrays", DUMP_SIZES, peaks)
+
+
+def test_green_dx_sign_check(ex2_problem):
+    peaks = [_peak(green_dx_sign_check, ex2_problem.config, ShiftedOperator(K),
+                   np.linspace(0.0, 1.0, n))[1] for n in SIZES]
+    _check("green_dx_sign_check", SIZES, peaks)
+
+
+def test_fd_nonlinear(ex2_problem):
+    _check("fd_nonlinear", ORACLE_SIZES,
+           [_peak(fd_nonlinear, ex2_problem, n)[1] for n in ORACLE_SIZES])

@@ -313,6 +313,21 @@ class TestDxSignCheck:
                                          np.linspace(0, 1, 51))
             assert report.ok_below is True
 
+    @pytest.mark.parametrize("k", [-2.0, -500.0])
+    @pytest.mark.parametrize("n", [5, 63, 64, 65, 201])
+    def test_blocked_scan_matches_one_whole_grid_argmax(self, k, n):
+        # the check scans BLOCK_ROWS rows at a time; the reference takes one
+        # argmax per side over all n x n slopes (first occurrence wins)
+        nodes = build_grid(n, CFG2.xi, CFG2.eta)
+        report = green_dx_sign_check(CFG2, ShiftedOperator(k), nodes)
+        X, S = nodes[:, None], nodes[None, :]
+        d = kernel_functions(CFG2, ShiftedOperator(k)).dvalue_dx(X, S)
+        for mask, top, worst in ((X < S, report.max_below, report.worst_below),
+                                 (X > S, report.max_above, report.worst_above)):
+            vals = np.where(mask, d, -np.inf)
+            i, j = np.unravel_index(np.argmax(vals), vals.shape)
+            assert (top, worst) == (vals[i, j], (nodes[i], nodes[j]))
+
     def test_slopes_match_finite_differences(self):
         # the reported extrema are real slopes of G, not formula artifacts
         report = green_dx_sign_check(CFG2, OP2, np.linspace(0, 1, 101))
