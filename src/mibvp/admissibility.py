@@ -51,6 +51,14 @@ def _refined_extremum(vals, xs, sign=1.0):
     return float(sign * best)
 
 
+def require_finite(*named):
+    """Raise ValidationError at the first non-finite one of (name, samples on SUP_XS) pairs."""
+    for name, v in named:
+        if not np.all(np.isfinite(v)):
+            raise ValidationError("%s is not finite at x = %r"
+                                  % (name, float(SUP_XS[np.argmin(np.isfinite(v))])))
+
+
 @dataclass(eq=False)
 class LipschitzData:
     """One-sided Lipschitz constant in u and the Lipschitz profile in u'.
@@ -91,10 +99,7 @@ class LipschitzData:
 
     @classmethod
     def _build(cls, l1, vals, dvals, l2_text):
-        for name, v in (("L2", vals), ("L2'", dvals)):
-            if not np.all(np.isfinite(v)):
-                raise ValidationError("%s is not finite at x = %r"
-                                      % (name, float(SUP_XS[np.argmin(np.isfinite(v))])))
+        require_finite(("L2", vals), ("L2'", dvals))
         notes = []
         if abs(vals[0]) > 1e-9:
             notes.append("L2(0) is not zero (%.3e)" % vals[0])
@@ -147,24 +152,21 @@ class Condition:
 
 @dataclass
 class AdmissibilityReport:
+    """The verdict on one k: conditions maps each id to its Condition, in
+    margin_table's order, and admissible is whether every one is ok."""
+
     k: float
     regime: Regime
-    conditions: list
+    conditions: dict
     admissible: bool
     extras: dict = field(default_factory=dict)
-
-    def condition(self, cid):
-        for c in self.conditions:
-            if c.cid == cid:
-                return c
-        raise KeyError(cid)
 
     def to_dict(self):
         return {
             "k": self.k,
             "regime": self.regime.value,
             "admissible": bool(self.admissible),
-            "conditions": [c.to_dict() for c in self.conditions],
+            "conditions": [c.to_dict() for c in self.conditions.values()],
             "extras": self.extras,
         }
 
@@ -256,9 +258,9 @@ def margin_table(config: BoundaryConfig, lip: LipschitzData, ks):
 def _report(config, k, lip, regime):
     """The AdmissibilityReport of one k, read off its one-row margin_table."""
     table, extras = margin_table(config, lip, [k])
-    conditions = [Condition(cid, ok[0], margin[0]) for cid, (ok, margin) in table.items()]
+    conditions = {cid: Condition(cid, ok[0], margin[0]) for cid, (ok, margin) in table.items()}
     return AdmissibilityReport(k=k, regime=regime, conditions=conditions,
-                               admissible=all(c.ok for c in conditions), extras=extras)
+                               admissible=all(c.ok for c in conditions.values()), extras=extras)
 
 
 def check_positive_k(config: BoundaryConfig, k: float, lip: LipschitzData) -> AdmissibilityReport:

@@ -306,7 +306,11 @@ class Expression:
         self.variables = frozenset(names)
 
     def evaluate(self, **env):
-        return _eval(self.ast, env)
+        """The value at env; a division of two constants by zero raises ExpressionError."""
+        try:
+            return _eval(self.ast, env)
+        except ZeroDivisionError:
+            raise ExpressionError("division by zero in %r" % self.text) from None
 
     def sample(self, **env):
         """evaluate() as a fresh float array shaped like all inputs broadcast together.

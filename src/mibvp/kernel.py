@@ -262,21 +262,6 @@ class DxSignReport:
     worst_above: tuple
     tolerance: float
 
-    def __bool__(self):
-        return self.ok
-
-    def to_dict(self):
-        return {
-            "ok": self.ok,
-            "ok_below": self.ok_below,
-            "ok_above": self.ok_above,
-            "max_below": self.max_below,
-            "max_above": self.max_above,
-            "worst_below": list(self.worst_below),
-            "worst_above": list(self.worst_above),
-            "tolerance": self.tolerance,
-        }
-
 
 def green_dx_sign_check(config: BoundaryConfig, op: ShiftedOperator, grid) -> DxSignReport:
     """Check dG/dx <= DX_SIGN_TOL at every off-diagonal point of grid x grid.

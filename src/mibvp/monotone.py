@@ -7,11 +7,11 @@ advance together; every ordering and monotonicity flag is recorded.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .admissibility import Condition, LipschitzData, NagumoData
+from .admissibility import SUP_XS, Condition, LipschitzData, NagumoData, require_finite
 from .errors import DivergenceError, NumericalError, ValidationError
 from .expressions import Expression, require_variables
 from .kernel import BoundaryConfig, ShiftedOperator
@@ -36,6 +36,7 @@ class NonlinearProblem:
     ordering "reverse" expects lower0 >= upper0 and a positive shift,
     "well" expects lower0 <= upper0 and a negative shift. nagumo_phi is the
     growth majorant specification ("auto", an expression in s, or None).
+    lower0, upper0 and their slopes must be finite on SUP_XS.
     """
 
     psi: Expression
@@ -52,8 +53,11 @@ class NonlinearProblem:
             raise ValidationError("ordering must be one of %s, got %r"
                                   % (ORDERINGS, self.ordering))
         require_variables(self.psi, {"x", "u", "up"}, "psi")
-        require_variables(self.lower0, {"x"}, "lower0")
-        require_variables(self.upper0, {"x"}, "upper0")
+        for name in ("lower0", "upper0"):
+            expr = require_variables(getattr(self, name), {"x"}, name)
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                require_finite((name, expr.sample(x=SUP_XS)),
+                               (name + "'", expr.derivative("x", x=SUP_XS)))
 
     def initial_lower(self, nodes):
         return self.lower0.sample(x=nodes), self.lower0.derivative("x", x=nodes)
@@ -107,29 +111,14 @@ class IterationTrace:
         getattr(self, name + "_upper").append(pair[1])
 
     def to_dict(self):
-        """The record as JSON-ready data; run stores Python floats and bools only."""
-        return {
-            "k": self.k,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "diverged": self.diverged,
-            "grid_n": self.nodes.size,
-            "gaps": list(self.gaps),
-            "step_moves_lower": list(self.step_moves_lower),
-            "step_moves_upper": list(self.step_moves_upper),
-            "monotone_lower": list(self.monotone_lower),
-            "monotone_upper": list(self.monotone_upper),
-            "ordered": list(self.ordered),
-            "derivative_bound_lower": (None if self.derivative_bound_lower is None
-                                       else list(self.derivative_bound_lower)),
-            "derivative_bound_upper": (None if self.derivative_bound_upper is None
-                                       else list(self.derivative_bound_upper)),
-            "final_residual": self.final_residual,
-            "residual_lower": self.residual_lower,
-            "residual_upper": self.residual_upper,
-            "boundary_residual_lower": list(self.boundary_residual_lower),
-            "boundary_residual_upper": list(self.boundary_residual_upper),
-        }
+        """The record as JSON-ready data: every field but nodes and the iterates, lists
+        and tuples as new lists, plus grid_n; run stores Python floats and bools only."""
+        out = {"grid_n": self.nodes.size}
+        for f in fields(self):
+            if f.name not in ("nodes", "iterates_lower", "iterates_upper"):
+                v = getattr(self, f.name)
+                out[f.name] = list(v) if isinstance(v, (list, tuple)) else v
+        return out
 
 
 def iterate_once(problem: NonlinearProblem, solver, u, du):
@@ -147,7 +136,7 @@ def iterate_once(problem: NonlinearProblem, solver, u, du):
     if not np.all(np.isfinite(g)):
         bad = np.unravel_index(np.argmin(np.isfinite(g)), g.shape)[-1]
         raise NumericalError("source evaluation produced a non-finite value at x=%r"
-                             % nodes[bad])
+                             % float(nodes[bad]))
     u1, du1 = zip(*(solver.solve(row, 0.0) for row in g.reshape(-1, nodes.size)))
     return np.array(u1).reshape(g.shape), np.array(du1).reshape(g.shape)
 
@@ -261,30 +250,16 @@ def run(problem: NonlinearProblem, k: float, max_iter: int, tol: float,
     return trace
 
 
-@dataclass
-class BracketReport:
-    checks: list
-    ok: bool
-
-    def check(self, cid):
-        for c in self.checks:
-            if c.cid == cid:
-                return c
-        raise KeyError(cid)
-
-    def to_dict(self):
-        return {"ok": bool(self.ok), "checks": [c.to_dict() for c in self.checks]}
-
-
-def verify_initial_bracket(problem: NonlinearProblem, k: float = None) -> BracketReport:
+def verify_initial_bracket(problem: NonlinearProblem, k: float = None) -> dict:
     """Check that lower0/upper0 really are lower/upper solutions.
 
     Lower side: psi(x,c,c') + c'' >= 0, c'(0) = lambda1 c(xi) (to 1e-9), and
     lambda2 c(eta) - c'(1) >= 0. Upper side mirrored. Also checks the
     declared ordering and, when k is given, the cross condition
     psi(x,d,d') - psi(x,c,c') - k (d - c) >= 0, all on the 501-node grid.
-    Margins are the most negative slack observed (>= -MONOTONE_SLACK
-    passes). Pure report, never raises on a failed inequality.
+    Returns {id: Condition}; a margin is the most negative slack observed
+    (>= -MONOTONE_SLACK passes), and the bracket holds when every Condition
+    is ok. Pure report, never raises on a failed inequality.
     """
     cfg = problem.config
     nodes = build_grid(501, cfg.xi, cfg.eta)
@@ -298,16 +273,15 @@ def verify_initial_bracket(problem: NonlinearProblem, k: float = None) -> Bracke
     psi_c = problem.psi_values(nodes, c, dc)
     psi_d = problem.psi_values(nodes, d, dd)
 
-    margins = [
-        ("lower-interior", np.min(psi_c + d2c)),
-        ("lower-bc0", -abs(dc[0] - cfg.lambda1 * c[i_xi])),
-        ("lower-bc1", cfg.lambda2 * c[i_eta] - dc[-1]),
-        ("upper-interior", np.min(-(psi_d + d2d))),
-        ("upper-bc0", -abs(dd[0] - cfg.lambda1 * d[i_xi])),
-        ("upper-bc1", dd[-1] - cfg.lambda2 * d[i_eta]),
-        ("ordering", np.min(c - d) if problem.ordering == "reverse" else np.min(d - c)),
-    ]
+    margins = {
+        "lower-interior": np.min(psi_c + d2c),
+        "lower-bc0": -abs(dc[0] - cfg.lambda1 * c[i_xi]),
+        "lower-bc1": cfg.lambda2 * c[i_eta] - dc[-1],
+        "upper-interior": np.min(-(psi_d + d2d)),
+        "upper-bc0": -abs(dd[0] - cfg.lambda1 * d[i_xi]),
+        "upper-bc1": dd[-1] - cfg.lambda2 * d[i_eta],
+        "ordering": np.min(c - d) if problem.ordering == "reverse" else np.min(d - c),
+    }
     if k is not None:
-        margins.append(("cross", np.min(psi_d - psi_c - k * (d - c))))
-    checks = [Condition(cid, m >= -MONOTONE_SLACK, m) for cid, m in margins]
-    return BracketReport(checks=checks, ok=all(chk.ok for chk in checks))
+        margins["cross"] = np.min(psi_d - psi_c - k * (d - c))
+    return {cid: Condition(cid, m >= -MONOTONE_SLACK, m) for cid, m in margins.items()}

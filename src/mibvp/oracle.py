@@ -162,7 +162,7 @@ def fd_linear(config, k: float, g: GridFunction, c_shift: float = 0.0) -> GridFu
     if not np.all(np.isfinite(u)):
         bad = int(np.argmin(np.isfinite(u)))
         raise OracleError("finite-difference solve produced a non-finite value "
-                          "at node %d (x=%r)" % (bad, g.nodes[bad]))
+                          "at node %d (x=%r)" % (bad, float(g.nodes[bad])))
     return GridFunction(g.nodes.copy(), u)
 
 

@@ -72,26 +72,26 @@ class TestPositiveChecks:
             "L34b": 0.01032919004652805,
         }
         for cid, margin in expected.items():
-            cond = report.condition(cid)
+            cond = report.conditions[cid]
             assert cond.ok is True
             assert cond.margin == pytest.approx(margin, rel=1e-9), cid
 
     def test_larger_shifts_fail_one_condition(self):
         r1 = check_positive_k(CFG1, 1.0, LIP1)
         assert r1.admissible is False
-        c = r1.condition("A1-2")
+        c = r1.conditions["A1-2"]
         assert c.ok is False
         assert c.margin == pytest.approx(-0.055705686517043884, rel=1e-9)
         r2 = check_positive_k(CFG1, 2.3, LIP1)
-        assert r2.condition("A1-2").margin == pytest.approx(
+        assert r2.conditions["A1-2"].margin == pytest.approx(
             -0.8138663109817335, rel=1e-9)
-        assert r2.condition("L34a").ok is True
-        assert r2.condition("L34b").ok is True
+        assert r2.conditions["L34a"].ok is True
+        assert r2.conditions["L34b"].ok is True
 
     def test_large_left_coupling_fails(self):
         cfg = BoundaryConfig(0.1, 0.2, 100.0, 3.0)
         report = check_positive_k(cfg, 0.49, LIP1)
-        assert report.condition("A1-3").ok is False
+        assert report.conditions["A1-3"].ok is False
 
     @pytest.mark.parametrize("k", [0.0, -1.0, PI2_OVER_4, 3.0])
     def test_out_of_regime(self, k):
@@ -107,7 +107,7 @@ class TestPositiveChecks:
             "Dk>0", "A1-2", "A1-3", "L34a", "L34b"]
         assert all(set(c) == {"id", "ok", "margin"} for c in d["conditions"])
         with pytest.raises(KeyError):
-            report.condition("nope")
+            report.conditions["nope"]
 
 
 class TestNegativeChecks:
@@ -115,7 +115,7 @@ class TestNegativeChecks:
         report = check_negative_k(CFG2, -2.0, LIP2)
         assert report.admissible is True
         assert report.regime is Regime.NEGATIVE_K
-        assert report.condition("Dk'>0").margin == pytest.approx(
+        assert report.conditions["Dk'>0"].margin == pytest.approx(
             4.299718928080497, rel=1e-9)
         expected = {
             "A'1-1": 2.615336,
@@ -125,7 +125,7 @@ class TestNegativeChecks:
             "A'2": 0.552823,
         }
         for cid, margin in expected.items():
-            cond = report.condition(cid)
+            cond = report.conditions[cid]
             assert cond.ok is True
             assert cond.margin == pytest.approx(margin, abs=1e-5), cid
 
@@ -147,7 +147,7 @@ class TestNegativeChecks:
     def test_strong_left_coupling_fails(self):
         cfg = BoundaryConfig(0.2, 0.3, 2.0, 1.0 / 9.0)
         report = check_negative_k(cfg, -2.0, LIP2)
-        assert report.condition("A'1-3").ok is False
+        assert report.conditions["A'1-3"].ok is False
         assert report.admissible is False
 
     @pytest.mark.parametrize("k", [0.0, 0.5])
@@ -232,8 +232,8 @@ class TestMarginTable:
         table, extras = admissibility.margin_table(problem.config, problem.lip, ks)
         for i, k in enumerate(ks):
             report = admissibility.check_k(problem.config, k, problem.lip)
-            assert list(table) == [c.cid for c in report.conditions]
-            for c in report.conditions:
+            assert list(table) == list(report.conditions)
+            for c in report.conditions.values():
                 ok, margin = table[c.cid]
                 assert (bool(ok[i]), float(margin[i])) == (c.ok, c.margin), (k, c.cid)
             assert extras == report.extras
@@ -272,7 +272,7 @@ class TestEndpointSlopeExtension:
     def test_cosine_form(self):
         k = 0.49
         r = math.sqrt(k)
-        assert check_positive_k(CFG1, k, LIP1).condition("L34a").ok
+        assert check_positive_k(CFG1, k, LIP1).conditions["L34a"].ok
         xs = np.linspace(0.0, 1.0, 2001)
         y1 = (LIP1.l1 - k) * np.cos(r * xs) + LIP1.l2 * r * np.sin(r * xs)
         assert float(np.max(y1)) <= 1e-12
@@ -280,7 +280,7 @@ class TestEndpointSlopeExtension:
     def test_sine_form(self):
         k = 0.49
         r = math.sqrt(k)
-        assert check_positive_k(CFG1, k, LIP1).condition("L34b").ok
+        assert check_positive_k(CFG1, k, LIP1).conditions["L34b"].ok
         xs = np.linspace(0.0, 1.0, 2001)
         y2 = (LIP1.l1 - k) * np.sin(r * xs) + LIP1.l2 * r * np.cos(r * xs)
         assert float(np.max(y2)) <= 1e-12

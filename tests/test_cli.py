@@ -31,6 +31,19 @@ def _ex2(problems_dir):
     return str(problems_dir / "example2.json")
 
 
+def _child_env(**extra):
+    """os.environ plus extra, with this checkout's src first on PYTHONPATH."""
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _run_cli(*argv):
+    """Run mibvp in a subprocess, so an uncaught exception shows as a traceback."""
+    return subprocess.run([sys.executable, "-m", "mibvp", *argv], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestCheck:
     def test_reverse_example(self, problems_dir, capsys):
         assert main(["check", _ex1(problems_dir)]) == 0
@@ -84,6 +97,32 @@ class TestCheck:
         assert captured.out == ""
         assert "at x = 0.0" in captured.err
 
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_constant_division_by_zero_exits_1(self, tmp_path, command):
+        # used to end in a ZeroDivisionError traceback
+        data = copy.deepcopy(EXAMPLE1)
+        data["lower0"] = "1 + 2.525*x + x^2 + 0*(1/0)"
+        proc = _run_cli(command, _config_file(tmp_path, data))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == ("validation error: division by zero in "
+                               "'1 + 2.525*x + x^2 + 0*(1/0)'\n")
+
+    @pytest.mark.parametrize("nagumo", [True, False])
+    @pytest.mark.parametrize("tail", ["ln(x)", "sqrt(x - 0.5)", "0*ln(0)",
+                                      "0*((-1)^0.5)", "0*(10^400)"])
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_non_finite_bracket_exits_1(self, tmp_path, capsys, command, tail, nagumo):
+        # used to blame phi (with a nagumo section) or the source (without)
+        data = copy.deepcopy(EXAMPLE1)
+        data["lower0"] = "1 + 2.525*x + x^2 + " + tail
+        if not nagumo:
+            del data["nagumo"]
+        assert main([command, _config_file(tmp_path, data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validation error: lower0 is not finite at x = 0.0\n"
+
     def test_artifact(self, problems_dir, tmp_path, capsys):
         out = tmp_path / "art"
         assert main(["check", _ex1(problems_dir), "--out", str(out)]) == 0
@@ -128,7 +167,7 @@ class TestScanK:
         lo, hi, steps = config.scan_range()
         lines = ["k,condition,margin,pass"]
         for k in np.linspace(lo, hi, steps).tolist():
-            for c in check_k(config.boundary_config, k, lip).conditions:
+            for c in check_k(config.boundary_config, k, lip).conditions.values():
                 lines.append("%r,%s,%r,%s" % (k, c.cid, c.margin, "true" if c.ok else "false"))
         assert (out / "scan_margins.csv").read_text() == "\n".join(lines) + "\n"
 
@@ -245,11 +284,8 @@ class TestSizeLimits:
                   "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
                   "from mibvp.cli import main\n"
                   "sys.exit(main(sys.argv[1:]))\n")
-        src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        return subprocess.run([sys.executable, "-c", script] + argv,
-                              capture_output=True, text=True, env=env, timeout=120)
+        return subprocess.run([sys.executable, "-c", script] + argv, capture_output=True,
+                              text=True, env=_child_env(OPENBLAS_NUM_THREADS="1"), timeout=120)
 
     def test_out_of_memory_exits_2(self, problems_dir):
         # a 10^6-node solve asks for two 8 TB quadrature matrices

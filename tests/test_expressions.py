@@ -105,6 +105,18 @@ def test_missing_variable_binding():
         expr.evaluate(x=1.0)
 
 
+def test_constant_division_by_zero():
+    # two Python-float operands raise ZeroDivisionError, which is reported as
+    # an ExpressionError; an array operand keeps numpy's inf
+    expr = parse_expression("1 + x + 0*(1/0)")
+    with pytest.raises(ExpressionError, match=r"^division by zero in '1 \+ x \+ 0\*\(1/0\)'$"):
+        expr.sample(x=np.linspace(0.0, 1.0, 5))
+    with pytest.raises(ExpressionError, match="division by zero"):
+        expr.derivative("x", x=np.linspace(0.0, 1.0, 5))
+    with np.errstate(divide="ignore"):
+        assert parse_expression("1/x").evaluate(x=np.array([0.0]))[0] == np.inf
+
+
 @pytest.mark.parametrize("text, fragment", [
     ("", "empty"),
     ("2 +", "syntax error"),

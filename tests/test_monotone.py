@@ -40,6 +40,15 @@ class TestNonlinearProblem:
         with pytest.raises(ValidationError):
             _toy_problem(upper0=parse_expression("up"))
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("lower0", "1 + x + ln(x)", "lower0 is not finite at x = 0.0"),
+        ("upper0", "-1 - x + sqrt(x - 0.5)", "upper0 is not finite at x = 0.0"),
+        ("lower0", "1 + x + sqrt(x)", "lower0' is not finite at x = 0.0"),
+    ])
+    def test_non_finite_bracket(self, name, text, message):
+        with pytest.raises(ValidationError, match="^%s$" % message):
+            _toy_problem(**{name: parse_expression(text)})
+
     def test_initial_sampling(self):
         p = _toy_problem()
         xs = build_grid(11, 0.1, 0.2)
@@ -54,22 +63,21 @@ class TestNonlinearProblem:
 class TestVerifyInitialBracket:
     def test_reverse_example(self, ex1_problem):
         report = verify_initial_bracket(ex1_problem, k=0.49)
-        assert report.ok is True
-        ids = [c.cid for c in report.checks]
-        assert ids == ["lower-interior", "lower-bc0", "lower-bc1",
+        assert all(c.ok for c in report.values())
+        assert list(report) == ["lower-interior", "lower-bc0", "lower-bc1",
                        "upper-interior", "upper-bc0", "upper-bc1",
                        "ordering", "cross"]
-        assert abs(report.check("lower-bc0").margin) <= 1e-12
-        assert report.check("cross").margin >= -1e-9
+        assert abs(report["lower-bc0"].margin) <= 1e-12
+        assert report["cross"].margin >= -1e-9
 
     def test_well_example(self, ex2_problem):
         report = verify_initial_bracket(ex2_problem, k=-2.0)
-        assert report.ok is True
+        assert all(c.ok for c in report.values())
 
     def test_no_cross_check_without_k(self, ex1_problem):
         report = verify_initial_bracket(ex1_problem)
-        assert "cross" not in [c.cid for c in report.checks]
-        assert report.ok is True
+        assert "cross" not in report
+        assert all(c.ok for c in report.values())
 
     def test_degenerate_bracket_sits_on_the_boundary(self):
         # psi = -2 makes c = d = 0.945 + 2.3875 x + x^2 an exact solution,
@@ -77,8 +85,8 @@ class TestVerifyInitialBracket:
         expr = parse_expression("0.945 + 2.3875*x + x^2")
         p = _toy_problem(psi=parse_expression("-2"), lower0=expr, upper0=expr)
         report = verify_initial_bracket(p, k=0.49)
-        assert report.ok is True
-        for chk in report.checks:
+        assert all(c.ok for c in report.values())
+        for chk in report.values():
             assert abs(chk.margin) <= 1e-12, chk.cid
 
     def test_swapped_bracket_fails(self, ex1_config):
@@ -89,16 +97,31 @@ class TestVerifyInitialBracket:
             lower0=problem.upper0, upper0=problem.lower0,
             ordering="reverse")
         report = verify_initial_bracket(swapped, k=0.49)
-        assert report.ok is False
-        assert report.check("ordering").ok is False
+        assert not all(c.ok for c in report.values())
+        assert report["ordering"].ok is False
+
+    def test_flat_lower_bracket_fails_on_the_lower_side(self, ex2_config):
+        # lower0 = -0.1 sits in order below upper0 but is no lower solution:
+        # psi(x, c, 0) + c'' < 0 near x = 1, c'(0) = 0 != lambda1 c(xi) and
+        # lambda2 c(eta) - c'(1) < 0
+        from mibvp.problems import build_problem
+        problem = build_problem(ex2_config)
+        problem.lower0 = parse_expression("-0.1")
+        report = verify_initial_bracket(problem, k=-2.0)
+        failed = {cid: c.margin for cid, c in report.items() if not c.ok}
+        assert failed == pytest.approx({"lower-interior": -0.0023193144139154703,
+                                        "lower-bc0": -0.025,
+                                        "lower-bc1": -1.0 / 90.0}, rel=1e-6)
+        assert list(report) == ["lower-interior", "lower-bc0", "lower-bc1",
+                                "upper-interior", "upper-bc0", "upper-bc1",
+                                "ordering", "cross"]
 
     def test_report_shapes(self, ex1_problem):
         report = verify_initial_bracket(ex1_problem, k=0.49)
-        d = report.to_dict()
-        assert d["ok"] is True
-        assert all(set(c) == {"id", "ok", "margin"} for c in d["checks"])
+        assert all(c.cid == cid for cid, c in report.items())
+        assert all(set(c.to_dict()) == {"id", "ok", "margin"} for c in report.values())
         with pytest.raises(KeyError):
-            report.check("nope")
+            report["nope"]
 
 
 class TestIterateOnce:
@@ -128,6 +151,16 @@ class TestIterateOnce:
         solver = get_solver(CFG2, ShiftedOperator(-2.0), xs)
         c1, _ = iterate_once(ex2_problem, solver, c0, dc0)
         assert np.all(c1 >= c0 - 1e-9)
+
+    def test_non_finite_source_names_a_plain_float(self):
+        # the array operand divided by the constant 0 gives inf, not an error
+        p = _toy_problem(psi=parse_expression("(exp(u) - x*exp(up))/(195-195)"))
+        xs = build_grid(11, 0.1, 0.2)
+        u, du = p.initial_lower(xs)
+        solver = get_solver(CFG1, ShiftedOperator(0.49), xs)
+        with np.errstate(divide="ignore"), pytest.raises(NumericalError) as err:
+            iterate_once(p, solver, u, du)
+        assert str(err.value) == "source evaluation produced a non-finite value at x=0.0"
 
     def test_stack_matches_single_rows(self, ex2_problem):
         xs = build_grid(101, 0.2, 0.3)
